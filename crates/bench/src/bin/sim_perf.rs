@@ -1,6 +1,7 @@
 //! Simulation-backend performance report: scalar vs 64-lane packed vs
 //! compiled bytecode VM throughput (with a lane-width sweep W=1/2/4/8),
-//! thread-scaling of the work-stealing pool, and determinism checks
+//! the VM's per-cycle dispatch counts, thread-scaling of the
+//! work-stealing pool, and determinism checks
 //! (results must not depend on the thread count, and the compiled VM
 //! must fingerprint-match the packed kernel).
 //!
@@ -216,6 +217,21 @@ fn main() {
     let stats = CompiledAny::new(&ff_design, 512)
         .expect("compiled build")
         .lower_stats();
+
+    // Dispatch counts at the equivalence check's width: comb passes and
+    // units run per cycle, against the full walk (every serial word on
+    // every pass) that dispatching without the pending set would cost.
+    // Deterministic: same design, seed and lane count.
+    let dispatch_run = run_random_compiled(&ff_design, 1, cycles, LANES).expect("compiled run");
+    let counts = dispatch_run.vm_counts();
+    let per_cycle = |n: u64| n as f64 / cycles as f64;
+    let passes_per_cycle = per_cycle(counts.passes);
+    let dispatched_per_cycle = per_cycle(counts.dispatched);
+    let full_walk_per_cycle = passes_per_cycle * stats.serial_words as f64;
+    println!(
+        "dispatch x{LANES}: {passes_per_cycle:.2} passes/cycle, {dispatched_per_cycle:.0} \
+         dispatched/cycle of a {full_walk_per_cycle:.0}-word full walk"
+    );
     let mut lower = Json::obj();
     lower.set("gates", stats.gates.into());
     lower.set("serial_words", stats.serial_words.into());
@@ -235,6 +251,10 @@ fn main() {
     compiled_section.set("widest_speedup_vs_packed", widest_vs_packed.into());
     compiled_section.set("widest_speedup_vs_scalar", widest_vs_scalar.into());
     compiled_section.set("lower_stats", lower);
+    compiled_section.set("dispatch_lanes", LANES.into());
+    compiled_section.set("passes_per_cycle", passes_per_cycle.into());
+    compiled_section.set("dispatched_per_cycle", dispatched_per_cycle.into());
+    compiled_section.set("full_walk_per_cycle", full_walk_per_cycle.into());
 
     // Thread scaling: independent packed activity collections fanned out
     // through explicit pools of 1/2/4/8 workers. The fingerprints of the

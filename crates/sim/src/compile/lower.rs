@@ -40,6 +40,13 @@
 //! hot path) and an unfused `plain` stream aligned 1:1 with the slot
 //! file for the per-level parallel path (no intra-level reads — dedupe
 //! copies and fusion are serial-only transforms).
+//!
+//! The serial stream also gets a **reader index**: for each slot, the
+//! stream positions of the dispatch units that read it. Every reader
+//! sits strictly after the slot's writer (levelization, dedupe copies
+//! reading an earlier canonical gate, and the fusion rule all keep that
+//! order), so the VM's pending walk in ascending position is a
+//! topological walk that consumes every mark in the pass that sets it.
 
 use std::collections::HashMap;
 
@@ -89,8 +96,122 @@ pub(crate) struct Program {
     pub first_comb_slot: u32,
     /// Widest level (gates), for the parallel-path heuristic.
     pub max_level_width: u32,
+    /// Serial-stream readers of each slot.
+    pub readers: ReaderIndex,
+    /// Bitset over serial positions with one bit per dispatch unit head
+    /// (every word but a [`FUSED_ARG`](opcode::FUSED_ARG) tail): the
+    /// "run everything" mark after construction, reset, or a path
+    /// switch.
+    pub heads: Vec<u64>,
     /// Pass counters.
     pub stats: LowerStats,
+}
+
+/// Reader index in CSR form: the dispatch units reading slot `s` sit at
+/// serial positions `pos[start[s]..start[s + 1]]`, ascending, each unit
+/// listed once per slot.
+#[derive(Debug)]
+pub(crate) struct ReaderIndex {
+    start: Vec<u32>,
+    pos: Vec<u32>,
+}
+
+impl ReaderIndex {
+    /// Build the index for `serial` over `n_slots` slots by counting
+    /// sort: one pass counts each slot's readers, a prefix sum turns the
+    /// counts into offsets, and a second pass fills positions in stream
+    /// order — O(operands), already ascending.
+    fn build(serial: &[Instr], arena: &[u32], n_slots: usize) -> ReaderIndex {
+        let mut start = vec![0u32; n_slots + 1];
+        // Last unit credited per slot, so a repeated operand (`AND(x, x)`,
+        // a copy's `b == a`) lists its unit once.
+        let mut last = vec![u32::MAX; n_slots];
+        for pc in 0..serial.len() {
+            unit_operands(serial, arena, pc, |s| {
+                if last[s as usize] != pc as u32 {
+                    last[s as usize] = pc as u32;
+                    start[s as usize + 1] += 1;
+                }
+            });
+        }
+        for s in 0..n_slots {
+            start[s + 1] += start[s];
+        }
+        let mut fill: Vec<u32> = start[..n_slots].to_vec();
+        let mut pos = vec![0u32; start[n_slots] as usize];
+        last.fill(u32::MAX);
+        for pc in 0..serial.len() {
+            unit_operands(serial, arena, pc, |s| {
+                if last[s as usize] != pc as u32 {
+                    last[s as usize] = pc as u32;
+                    pos[fill[s as usize] as usize] = pc as u32;
+                    fill[s as usize] += 1;
+                }
+            });
+        }
+        ReaderIndex { start, pos }
+    }
+
+    /// Serial positions of the units reading `slot`, ascending.
+    #[inline(always)]
+    pub fn of(&self, slot: u32) -> &[u32] {
+        let s = slot as usize;
+        &self.pos[self.start[s] as usize..self.start[s + 1] as usize]
+    }
+
+    /// Mark every reader of `slot` in the pending bitset.
+    #[inline(always)]
+    pub fn mark(&self, pending: &mut [u64], slot: u32) {
+        for &p in self.of(slot) {
+            pending[(p >> 6) as usize] |= 1u64 << (p & 63);
+        }
+    }
+
+    /// Total (slot, reader) entries.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.pos.len()
+    }
+}
+
+/// Call `f` on every slot the dispatch unit at serial position `pc`
+/// reads from the value file (repeats possible). A
+/// [`FUSED_ARG`](opcode::FUSED_ARG) tail is not a unit: its head
+/// reports its operand. Constants read nothing, and copy-kind
+/// descriptors read only their first input — a fused copy tail's `a` is
+/// the head's own output, taken from the register.
+fn unit_operands(serial: &[Instr], arena: &[u32], pc: usize, mut f: impl FnMut(u32)) {
+    let i = serial[pc];
+    let reads_b = |flags: u8| flags & desc::KIND != desc::K_COPY;
+    match i.op {
+        opcode::COPY | opcode::COPY_INV => f(i.a),
+        opcode::AND2..=opcode::GATE2C => {
+            f(i.a);
+            f(i.b);
+        }
+        opcode::MUX2 | opcode::AND3..=opcode::XNOR3 => {
+            f(i.a);
+            f(i.b);
+            f(i.c);
+        }
+        opcode::ANDN..=opcode::XNORN => {
+            for &s in &arena[i.a as usize..(i.a + i.b) as usize] {
+                f(s);
+            }
+        }
+        opcode::FUSED2 => {
+            f(i.a);
+            if reads_b(i.flags) {
+                f(i.b);
+            }
+            let tail = serial[pc + 1];
+            if reads_b(tail.flags) {
+                f(tail.a);
+            }
+        }
+        // CONST0/CONST1 and FUSED_ARG.
+        _ => {}
+    }
 }
 
 /// Commutative gate family used in descriptors and dedupe keys.
@@ -394,6 +515,14 @@ pub(crate) fn lower(nl: &Netlist) -> Result<Program> {
     stats.fused_pairs = fuse(&mut serial, first_comb_slot);
     stats.serial_words = serial.len();
 
+    let readers = ReaderIndex::build(&serial, &arena, net_of_slot.len());
+    let mut heads = vec![0u64; serial.len().div_ceil(64)];
+    for (pc, ins) in serial.iter().enumerate() {
+        if ins.op != opcode::FUSED_ARG {
+            heads[pc >> 6] |= 1u64 << (pc & 63);
+        }
+    }
+
     Ok(Program {
         serial,
         plain,
@@ -403,6 +532,8 @@ pub(crate) fn lower(nl: &Netlist) -> Result<Program> {
         net_of_slot,
         first_comb_slot,
         max_level_width,
+        readers,
+        heads,
         stats,
     })
 }
@@ -796,4 +927,154 @@ fn fuse(serial: &mut Vec<Instr>, first_comb_slot: u32) -> usize {
         *serial = fused;
     }
     pairs
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::compile::tests::counter;
+    use std::collections::HashSet;
+    use triphase_netlist::gen::Recipe;
+    use triphase_netlist::{Builder, ClockSpec};
+
+    /// How often the checked designs hit the cases the walk depends on.
+    #[derive(Default)]
+    struct Seen {
+        fused_pairs: usize,
+        fused_data_tails: usize,
+        nary: usize,
+    }
+
+    /// Four- and five-input gates (N-ary arena operands) feeding a
+    /// 2-input gate, registered.
+    fn wide_gates() -> Netlist {
+        let mut nl = Netlist::new("wide");
+        let mut b = Builder::new(&mut nl, "u");
+        let (ckp, ck) = b.netlist().add_input("ck");
+        let ins = b.word_input("in", 6);
+        let i = ins.bits().to_vec();
+        let and4 = b.gate(CellKind::And(4), &i[0..4]);
+        let xnor5 = b.gate(CellKind::Xnor(5), &i[1..6]);
+        let nor4 = b.gate(CellKind::Nor(4), &[i[0], i[2], i[4], and4]);
+        let y = b.nand2(xnor5, nor4);
+        let q = b.dff(y, ck);
+        b.netlist().add_output("q", q);
+        nl.clock = Some(ClockSpec::single(ckp, 1000.0));
+        nl
+    }
+
+    /// Check the reader index of `nl` against the serial stream's own
+    /// encoding: every operand of every dispatch unit is listed (and
+    /// nothing else), every reader sits strictly after its slot's
+    /// writer, and no `FUSED_ARG` position is ever a reader or a head.
+    fn check_reader_index(nl: &Netlist, seen: &mut Seen) {
+        let prog = lower(nl).expect("lowering");
+        let serial = &prog.serial;
+        let n_slots = prog.net_of_slot.len();
+        let copy = |flags: u8| flags & desc::KIND == desc::K_COPY;
+
+        // Unit position writing each slot (`None`: a graph source).
+        let mut writer: Vec<Option<usize>> = vec![None; n_slots];
+        for (pc, ins) in serial.iter().enumerate() {
+            let head = if ins.op == opcode::FUSED_ARG {
+                pc - 1
+            } else {
+                pc
+            };
+            writer[ins.out as usize] = Some(head);
+        }
+
+        let mut expected: HashSet<(u32, u32)> = HashSet::new();
+        for (pc, ins) in serial.iter().enumerate() {
+            let ops: Vec<u32> = match ins.op {
+                opcode::CONST0 | opcode::CONST1 | opcode::FUSED_ARG => Vec::new(),
+                opcode::COPY | opcode::COPY_INV => vec![ins.a],
+                opcode::AND2..=opcode::GATE2C => vec![ins.a, ins.b],
+                opcode::MUX2 | opcode::AND3..=opcode::XNOR3 => vec![ins.a, ins.b, ins.c],
+                opcode::ANDN..=opcode::XNORN => {
+                    seen.nary += 1;
+                    prog.arena[ins.a as usize..(ins.a + ins.b) as usize].to_vec()
+                }
+                opcode::FUSED2 => {
+                    seen.fused_pairs += 1;
+                    let tail = serial[pc + 1];
+                    assert_eq!(tail.op, opcode::FUSED_ARG, "FUSED2 at {pc} lacks its tail");
+                    let mut v = vec![ins.a];
+                    if !copy(ins.flags) {
+                        v.push(ins.b);
+                    }
+                    if copy(tail.flags) {
+                        // The copy tail takes the head's result from the
+                        // register; its `a` names the head's own output.
+                        assert_eq!(tail.a, ins.out, "copy tail at {}", pc + 1);
+                    } else {
+                        seen.fused_data_tails += 1;
+                        v.push(tail.a);
+                    }
+                    v
+                }
+                op => panic!("unknown opcode {op} at {pc}"),
+            };
+            for s in ops {
+                expected.insert((s, pc as u32));
+            }
+        }
+        for &(s, pc) in &expected {
+            assert!(
+                prog.readers.of(s).contains(&pc),
+                "{}: slot {s} does not list reader {pc}",
+                nl.name
+            );
+        }
+        assert_eq!(
+            prog.readers.len(),
+            expected.len(),
+            "{}: extra readers",
+            nl.name
+        );
+
+        for s in 0..n_slots as u32 {
+            let rs = prog.readers.of(s);
+            assert!(rs.windows(2).all(|w| w[0] < w[1]), "slot {s}: {rs:?}");
+            for &p in rs {
+                assert_ne!(
+                    serial[p as usize].op,
+                    opcode::FUSED_ARG,
+                    "{}: FUSED_ARG position {p} listed as a reader of slot {s}",
+                    nl.name
+                );
+                if let Some(w) = writer[s as usize] {
+                    assert!(
+                        p as usize > w,
+                        "{}: reader {p} of slot {s} not after its writer {w}",
+                        nl.name
+                    );
+                }
+            }
+        }
+
+        // The all-units mark: exactly the non-tail positions, no bit at
+        // or past `serial.len()`.
+        for pc in 0..prog.heads.len() * 64 {
+            let bit = (prog.heads[pc >> 6] >> (pc & 63)) & 1 == 1;
+            let head = pc < serial.len() && serial[pc].op != opcode::FUSED_ARG;
+            assert_eq!(bit, head, "{}: head bit {pc}", nl.name);
+        }
+    }
+
+    #[test]
+    fn reader_index_covers_every_operand_after_its_writer() {
+        let mut seen = Seen::default();
+        check_reader_index(&counter(), &mut seen);
+        check_reader_index(&wide_gates(), &mut seen);
+        for recipe in Recipe::stream(0x5EED_0017, 48, 16, 8) {
+            check_reader_index(&recipe.build(), &mut seen);
+        }
+        assert!(seen.fused_pairs > 0, "no fused pair checked");
+        assert!(
+            seen.fused_data_tails > 0,
+            "no fused second-word operand checked"
+        );
+        assert!(seen.nary > 0, "no N-ary arena operand checked");
+    }
 }

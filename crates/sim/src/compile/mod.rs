@@ -99,7 +99,8 @@ pub struct CompiledSim<'a, const W: usize> {
     icg_state: Vec<Lanes<W>>,
     values: Vec<Lanes<W>>,
     toggles: Vec<u64>,
-    pending: Vec<(u32, Lanes<W>)>,
+    /// Input values queued for the next cycle.
+    queued_inputs: Vec<(u32, Lanes<W>)>,
     per_lane_cycles: u64,
     events: Vec<f64>,
     clock_ports: Vec<(u32, usize)>,
@@ -114,10 +115,22 @@ pub struct CompiledSim<'a, const W: usize> {
     before_ck: Vec<Lanes<W>>,
     clk_snapshot: Vec<Lanes<W>>,
     updates: Vec<(u32, Lanes<W>)>,
-    /// Per-slot changed-since-last-serial-pass bitset driving the
-    /// event-driven gate in the serial stream (see `ops::ExecCtx`):
-    /// external writes mark, one topological pass consumes and clears.
-    dirty: Vec<u64>,
+    /// Pending dispatch units of the serial stream, one bit per stream
+    /// position (see `ops::ExecCtx`): a changed slot marks its readers,
+    /// and the next serial pass runs and clears exactly those.
+    pending: Vec<u64>,
+    counts: VmCounts,
+}
+
+/// Work counters of the combinational VM since the last reset (the
+/// reset's own settling excluded).
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct VmCounts {
+    /// Combinational passes (settle iterations).
+    pub passes: u64,
+    /// Dispatch units run: a gate, or a fused gate pair, on the serial
+    /// path; every plain-stream gate of a pass on the parallel path.
+    pub dispatched: u64,
 }
 
 impl<'a, const W: usize> CompiledSim<'a, W> {
@@ -233,13 +246,12 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
             && triphase_par::ThreadPool::global().threads() > 1;
         Ok(CompiledSim {
             nl,
-            prog,
             clock_ops,
             storage,
             icg_state: vec![Lanes::X; nl.cell_capacity()],
             values: vec![Lanes::X; n_slots],
             toggles: vec![0; n_slots],
-            pending: Vec::new(),
+            queued_inputs: Vec::new(),
             per_lane_cycles: 0,
             events: times,
             clock_ports,
@@ -251,7 +263,9 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
             before_ck: vec![Lanes::X; n_storage],
             clk_snapshot: vec![Lanes::X; n_storage],
             updates: Vec::new(),
-            dirty: vec![u64::MAX; n_slots.div_ceil(64)],
+            pending: prog.heads.clone(),
+            counts: VmCounts::default(),
+            prog,
         })
     }
 
@@ -270,14 +284,19 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
         self.prog.stats
     }
 
+    /// VM work counters since the last reset.
+    pub fn vm_counts(&self) -> VmCounts {
+        self.counts
+    }
+
     /// Force the per-level parallel path on or off (both paths are
     /// bit-identical; the default is a size heuristic).
     pub fn set_parallel(&mut self, on: bool) {
         self.parallel = on;
         // The parallel path evaluates every level unconditionally and
-        // does not maintain the dirty set; re-mark everything so a
-        // later serial pass starts from a sound over-approximation.
-        self.dirty.fill(u64::MAX);
+        // marks no readers; re-mark every unit so a later serial pass
+        // starts from a sound over-approximation.
+        self.pending.copy_from_slice(&self.prog.heads);
     }
 
     /// Reset every lane to the all-zero state with clocks at
@@ -288,9 +307,9 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
         self.values.fill(Lanes::ZERO);
         self.icg_state.fill(Lanes::ZERO);
         self.toggles.fill(0);
-        self.dirty.fill(u64::MAX);
+        self.pending.copy_from_slice(&self.prog.heads);
         self.per_lane_cycles = 0;
-        self.pending.clear();
+        self.queued_inputs.clear();
         let period = self.period;
         for i in 0..self.clock_ports.len() {
             let (slot, phase) = self.clock_ports[i];
@@ -309,6 +328,7 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
         }
         self.eval_clock_network();
         self.settle_data();
+        self.counts = VmCounts::default();
     }
 
     /// Queue a packed input value; applied at the start of the next
@@ -320,7 +340,7 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
     pub fn set_input(&mut self, port: PortId, value: Lanes<W>) {
         let p = self.nl.port(port);
         assert_eq!(p.dir, PortDir::Input, "set_input on non-input");
-        self.pending
+        self.queued_inputs
             .push((self.prog.slot_of_net[p.net.index()], value));
     }
 
@@ -353,7 +373,7 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
         }
     }
 
-    /// Advance one full clock cycle for every lane (pending inputs land
+    /// Advance one full clock cycle for every lane (queued inputs land
     /// just after the first clock event, as scalar/packed).
     pub fn step_cycle(&mut self) {
         self.settle_data();
@@ -361,8 +381,8 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
             let t = self.events[i];
             self.process_clock_event(t);
             if i == 0 {
-                let pending = std::mem::take(&mut self.pending);
-                for (slot, v) in pending {
+                let queued = std::mem::take(&mut self.queued_inputs);
+                for (slot, v) in queued {
                     self.set_slot(slot, v);
                 }
                 self.settle_data();
@@ -388,7 +408,7 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
         if diff {
             self.toggles[slot as usize] += t;
             self.values[slot as usize] = val;
-            self.dirty[(slot >> 6) as usize] |= 1u64 << (slot & 63);
+            self.prog.readers.mark(&mut self.pending, slot);
         }
     }
 
@@ -484,6 +504,7 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
     /// table, or the plain stream batched per level over the pool. Both
     /// produce bit-identical values and toggles.
     fn run_comb(&mut self, changed: &mut bool) {
+        self.counts.passes += 1;
         if !self.parallel {
             let mut ctx = ExecCtx {
                 values: &mut self.values,
@@ -491,16 +512,16 @@ impl<'a, const W: usize> CompiledSim<'a, W> {
                 arena: &self.prog.arena,
                 mask: self.mask,
                 changed: false,
-                dirty: &mut self.dirty,
+                readers: &self.prog.readers,
+                pending: &mut self.pending,
+                dispatched: 0,
             };
             run_stream(&mut ctx, &self.prog.serial);
             *changed |= ctx.changed;
-            // The stream is topologically ordered, so one full pass
-            // consumes every dirty mark (all readers of every marked
-            // slot have run); later external writes re-mark.
-            self.dirty.fill(0);
+            self.counts.dispatched += ctx.dispatched;
             return;
         }
+        self.counts.dispatched += self.prog.plain.len() as u64;
         let prog = &self.prog;
         let mask = self.mask;
         let fcs = prog.first_comb_slot as usize;
@@ -673,6 +694,11 @@ impl<'a> CompiledAny<'a> {
         on_any!(self, s => s.lower_stats())
     }
 
+    /// VM work counters since the last reset.
+    pub fn vm_counts(&self) -> VmCounts {
+        on_any!(self, s => s.vm_counts())
+    }
+
     /// Force the per-level parallel path on or off.
     pub fn set_parallel(&mut self, on: bool) {
         on_any!(self, s => s.set_parallel(on));
@@ -797,7 +823,7 @@ mod tests {
     use triphase_netlist::{Builder, ClockSpec, Word};
 
     /// 3-bit counter (same as the packed kernel tests).
-    fn counter() -> Netlist {
+    pub(crate) fn counter() -> Netlist {
         let mut nl = Netlist::new("cnt");
         let mut b = Builder::new(&mut nl, "u");
         let (ckp, ck) = b.netlist().add_input("ck");
@@ -904,32 +930,64 @@ mod tests {
 
     #[test]
     fn parallel_path_is_bit_identical() {
-        let nl = counter();
-        let run = |parallel: bool| {
-            let mut sim = CompiledAny::new(&nl, 96).unwrap();
-            sim.set_parallel(parallel);
-            sim.reset_zero();
-            let inputs = crate::equiv::data_inputs(&nl);
-            let mut streams: Vec<SplitMix64> = crate::packed::lane_seeds(11, 96)
-                .into_iter()
-                .map(SplitMix64::new)
-                .collect();
-            for _ in 0..16 {
-                for &p in &inputs {
-                    let mut bits = [0u64; 8];
-                    for (l, s) in streams.iter_mut().enumerate() {
-                        bits[l / 64] |= u64::from(s.next_bit()) << (l % 64);
-                    }
-                    sim.set_input_bits(p, &bits);
-                }
-                sim.step_cycle();
-            }
-            sim.activity()
+        // All-parallel, and two mid-run switches serial → parallel →
+        // serial, each with a mid-run reset: the re-mark paths
+        // (`set_parallel`, `reset_zero`) must leave values and toggles
+        // bit-identical to an all-serial run.
+        const LANES: usize = 96;
+        const CYCLES: usize = 24;
+        const RESET_AT: usize = 16;
+        let recipe = triphase_netlist::gen::Recipe {
+            ops: vec![0, 1, 5, 2, 6, 4, 5, 3],
+            width: 6,
+            seed: 3,
         };
-        let serial = run(false);
-        let parallel = run(true);
-        assert_eq!(serial.cycles, parallel.cycles);
-        assert_eq!(serial.net_toggles, parallel.net_toggles);
+        for nl in [counter(), recipe.build()] {
+            let run = |parallel_at: &dyn Fn(usize) -> bool| {
+                let mut sim = CompiledAny::new(&nl, LANES).unwrap();
+                sim.set_parallel(parallel_at(0));
+                sim.reset_zero();
+                let inputs = crate::equiv::data_inputs(&nl);
+                let mut streams: Vec<SplitMix64> = crate::packed::lane_seeds(11, LANES)
+                    .into_iter()
+                    .map(SplitMix64::new)
+                    .collect();
+                for cycle in 0..CYCLES {
+                    if cycle > 0 && parallel_at(cycle) != parallel_at(cycle - 1) {
+                        sim.set_parallel(parallel_at(cycle));
+                    }
+                    if cycle == RESET_AT {
+                        sim.reset_zero();
+                    }
+                    for &p in &inputs {
+                        let mut bits = [0u64; 8];
+                        for (l, s) in streams.iter_mut().enumerate() {
+                            bits[l / 64] |= u64::from(s.next_bit()) << (l % 64);
+                        }
+                        sim.set_input_bits(p, &bits);
+                    }
+                    sim.step_cycle();
+                }
+                let values: Vec<Logic> = nl
+                    .nets()
+                    .flat_map(|(net, _)| (0..LANES).map(move |l| (net, l)))
+                    .map(|(net, l)| sim.net_value_lane(net, l))
+                    .collect();
+                (sim.activity(), values)
+            };
+            let (serial, serial_values) = run(&|_| false);
+            let schedules: [(&str, &dyn Fn(usize) -> bool); 3] = [
+                ("parallel", &|_| true),
+                ("switch, reset serial", &|c| (5..10).contains(&c)),
+                ("switch, reset parallel", &|c| (12..20).contains(&c)),
+            ];
+            for (name, parallel_at) in schedules {
+                let (act, values) = run(parallel_at);
+                assert_eq!(act.cycles, serial.cycles, "{} {name}", nl.name);
+                assert_eq!(act.net_toggles, serial.net_toggles, "{} {name}", nl.name);
+                assert_eq!(values, serial_values, "{} {name}", nl.name);
+            }
+        }
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! Bytecode instruction set and threaded-dispatch handlers.
 //!
 //! The lowered combinational fabric is a flat array of fixed-size
-//! [`Instr`] words. The serial hot loop does **threaded dispatch**: an
-//! opcode indexes a table of monomorphized handler function pointers
-//! (one table per lane width `W`), each handler evaluates one
-//! specialized operation over all `64 * W` lanes and returns the next
-//! program counter — no per-gate `match`, no operand-count branch for
-//! the common 2/3-input shapes, and superop ([`FUSED2`]) handlers
-//! retire two gates per dispatch with the intermediate kept in a
-//! register.
+//! [`Instr`] words. The serial hot loop is **event-driven by stream
+//! position**: it walks the set bits of a pending bitset (one bit per
+//! dispatch unit) in ascending order, and each set bit indexes a table
+//! of monomorphized handler function pointers (one table per lane width
+//! `W`). A handler evaluates one specialized operation over all
+//! `64 * W` lanes and, when its output changed, marks the output slot's
+//! readers pending — no per-gate `match`, no operand tests, and superop
+//! ([`FUSED2`]) handlers retire two gates per dispatch with the
+//! intermediate kept in a register.
 //!
 //! The parallel per-level path evaluates the *plain* (unfused) stream
 //! with [`eval_value`], which reads only slots below the level being
 //! computed — see `lower.rs` for why that partition is sound.
 
 use super::lanes::{Lanes, Mask};
+use super::lower::ReaderIndex;
 
 /// One bytecode word: opcode + complement/descriptor flags + up to three
 /// operand slots and an output slot. N-ary gates use `a`/`b` as a range
@@ -139,27 +141,23 @@ pub(crate) struct ExecCtx<'a, const W: usize> {
     pub mask: Mask<W>,
     /// Set when any output slot changed value this pass.
     pub changed: bool,
-    /// Per-slot changed-since-readers-last-ran bitset. Handlers skip an
-    /// instruction when every input slot is clean: unchanged inputs
-    /// reproduce the unchanged output with zero toggles, so skipping is
-    /// observationally identical to re-evaluating (the write path is
-    /// gated on inequality). The owner sets bits on every external
-    /// write and clears the whole set after each serial pass — the
-    /// stream is in topological order, so by then every reader of every
-    /// marked slot has run.
-    pub dirty: &'a mut [u64],
-}
-
-/// Test slot `s`'s dirty bit.
-#[inline(always)]
-fn dirty<const W: usize>(ctx: &ExecCtx<'_, W>, s: u32) -> bool {
-    ctx.dirty[(s >> 6) as usize] & (1u64 << (s & 63)) != 0
+    /// Serial-stream readers of each slot.
+    pub readers: &'a ReaderIndex,
+    /// Pending dispatch units, one bit per serial position: set when an
+    /// operand of the unit changed since the unit last ran. A unit whose
+    /// operands are all unchanged would reproduce its unchanged output
+    /// with zero toggles, so running only pending units is
+    /// observationally identical to running them all (the write path is
+    /// gated on inequality).
+    pub pending: &'a mut [u64],
+    /// Units dispatched this pass.
+    pub dispatched: u64,
 }
 
 /// Write `v` to `out`, counting toggles on known→known differing lanes
 /// — the exact packed-kernel `set_net` rule, gated on inequality like
 /// the packed settle loop (equal values imply zero toggles). A changed
-/// slot is marked dirty so downstream instructions re-evaluate.
+/// slot marks its readers pending; they all sit later in the stream.
 #[inline(always)]
 fn write<const W: usize>(ctx: &mut ExecCtx<'_, W>, out: u32, v: Lanes<W>) {
     let old = ctx.values[out as usize];
@@ -167,7 +165,7 @@ fn write<const W: usize>(ctx: &mut ExecCtx<'_, W>, out: u32, v: Lanes<W>) {
     if diff {
         ctx.toggles[out as usize] += t;
         ctx.values[out as usize] = v;
-        ctx.dirty[(out >> 6) as usize] |= 1u64 << (out & 63);
+        ctx.readers.mark(ctx.pending, out);
         ctx.changed = true;
     }
 }
@@ -186,19 +184,16 @@ fn eval_desc<const W: usize>(flags: u8, a: Lanes<W>, b: Lanes<W>) -> Lanes<W> {
     v.cnot(flags & desc::CO != 0)
 }
 
-/// Handler signature: evaluate the instruction(s) at `pc` and return the
-/// next program counter.
-pub(crate) type Handler<const W: usize> = fn(&mut ExecCtx<'_, W>, &[Instr], usize) -> usize;
+/// Handler signature: evaluate the dispatch unit at `pc`. Handlers test
+/// no operands — being dispatched means one of them changed.
+pub(crate) type Handler<const W: usize> = fn(&mut ExecCtx<'_, W>, &[Instr], usize);
 
 macro_rules! h_const {
     ($f:ident, $k:expr) => {
-        fn $f<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) -> usize {
-            // No inputs: only the reset-time mark on the out slot ever
-            // re-runs a constant.
-            if dirty(ctx, ins[pc].out) {
-                write(ctx, ins[pc].out, $k);
-            }
-            pc + 1
+        // No inputs: only the all-units mark (construction, reset, path
+        // switch) ever runs a constant.
+        fn $f<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) {
+            write(ctx, ins[pc].out, $k);
         }
     };
 }
@@ -207,13 +202,10 @@ h_const!(h_const1, Lanes::ONE);
 
 macro_rules! h_copy {
     ($f:ident, $co:expr) => {
-        fn $f<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) -> usize {
+        fn $f<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) {
             let i = ins[pc];
-            if dirty(ctx, i.a) {
-                let v = ctx.values[i.a as usize].cnot($co);
-                write(ctx, i.out, v);
-            }
-            pc + 1
+            let v = ctx.values[i.a as usize].cnot($co);
+            write(ctx, i.out, v);
         }
     };
 }
@@ -222,15 +214,12 @@ h_copy!(h_copy_inv, true);
 
 macro_rules! h_gate2 {
     ($f:ident, $m:ident, $co:expr) => {
-        fn $f<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) -> usize {
+        fn $f<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) {
             let i = ins[pc];
-            if dirty(ctx, i.a) || dirty(ctx, i.b) {
-                let v = ctx.values[i.a as usize]
-                    .$m(ctx.values[i.b as usize])
-                    .cnot($co);
-                write(ctx, i.out, v);
-            }
-            pc + 1
+            let v = ctx.values[i.a as usize]
+                .$m(ctx.values[i.b as usize])
+                .cnot($co);
+            write(ctx, i.out, v);
         }
     };
 }
@@ -243,16 +232,13 @@ h_gate2!(h_xnor2, xor, true);
 
 macro_rules! h_gate3 {
     ($f:ident, $m:ident, $co:expr) => {
-        fn $f<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) -> usize {
+        fn $f<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) {
             let i = ins[pc];
-            if dirty(ctx, i.a) || dirty(ctx, i.b) || dirty(ctx, i.c) {
-                let v = ctx.values[i.a as usize]
-                    .$m(ctx.values[i.b as usize])
-                    .$m(ctx.values[i.c as usize])
-                    .cnot($co);
-                write(ctx, i.out, v);
-            }
-            pc + 1
+            let v = ctx.values[i.a as usize]
+                .$m(ctx.values[i.b as usize])
+                .$m(ctx.values[i.c as usize])
+                .cnot($co);
+            write(ctx, i.out, v);
         }
     };
 }
@@ -265,18 +251,14 @@ h_gate3!(h_xnor3, xor, true);
 
 macro_rules! h_gaten {
     ($f:ident, $m:ident, $co:expr) => {
-        fn $f<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) -> usize {
+        fn $f<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) {
             let i = ins[pc];
             let (s, n) = (i.a as usize, i.b as usize);
-            if !ctx.arena[s..s + n].iter().any(|&op| dirty(ctx, op)) {
-                return pc + 1;
-            }
             let mut v = ctx.values[ctx.arena[s] as usize];
             for k in 1..n {
                 v = v.$m(ctx.values[ctx.arena[s + k] as usize]);
             }
             write(ctx, i.out, v.cnot($co));
-            pc + 1
         }
     };
 }
@@ -287,34 +269,25 @@ h_gaten!(h_norn, or, true);
 h_gaten!(h_xorn, xor, false);
 h_gaten!(h_xnorn, xor, true);
 
-fn h_gate2c<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) -> usize {
+fn h_gate2c<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) {
     let i = ins[pc];
-    if dirty(ctx, i.a) || dirty(ctx, i.b) {
-        let v = eval_desc(i.flags, ctx.values[i.a as usize], ctx.values[i.b as usize]);
-        write(ctx, i.out, v);
-    }
-    pc + 1
+    let v = eval_desc(i.flags, ctx.values[i.a as usize], ctx.values[i.b as usize]);
+    write(ctx, i.out, v);
 }
 
-fn h_mux2<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) -> usize {
+fn h_mux2<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) {
     let i = ins[pc];
-    if dirty(ctx, i.a) || dirty(ctx, i.b) || dirty(ctx, i.c) {
-        let v = ctx.values[i.c as usize].mux(ctx.values[i.a as usize], ctx.values[i.b as usize]);
-        write(ctx, i.out, v);
-    }
-    pc + 1
+    let v = ctx.values[i.c as usize].mux(ctx.values[i.a as usize], ctx.values[i.b as usize]);
+    write(ctx, i.out, v);
 }
 
 /// Superop: two fused gates, one dispatch. Gate 1's result stays in a
 /// register and feeds gate 2 directly; gate 1's output slot is written
 /// first, so a gate 2 that also reads it through memory sees the
 /// updated value.
-fn h_fused2<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) -> usize {
+fn h_fused2<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) {
     let w1 = ins[pc];
     let w2 = ins[pc + 1];
-    if !(dirty(ctx, w1.a) || dirty(ctx, w1.b) || dirty(ctx, w2.a)) {
-        return pc + 2;
-    }
     let r = eval_desc(
         w1.flags,
         ctx.values[w1.a as usize],
@@ -323,14 +296,11 @@ fn h_fused2<const W: usize>(ctx: &mut ExecCtx<'_, W>, ins: &[Instr], pc: usize) 
     write(ctx, w1.out, r);
     let r2 = eval_desc(w2.flags, r, ctx.values[w2.a as usize]);
     write(ctx, w2.out, r2);
-    pc + 2
 }
 
-/// Defensive no-op: a [`FUSED_ARG`] word is always consumed by the
-/// preceding [`FUSED2`] handler and never dispatched.
-fn h_fused_arg<const W: usize>(_: &mut ExecCtx<'_, W>, _: &[Instr], pc: usize) -> usize {
-    pc + 1
-}
+/// Defensive no-op: a [`FUSED_ARG`] word is consumed by the preceding
+/// [`FUSED2`] handler and is never marked pending, so never dispatched.
+fn h_fused_arg<const W: usize>(_: &mut ExecCtx<'_, W>, _: &[Instr], _: usize) {}
 
 /// Monomorphized dispatch table for lane width `W`, indexed by opcode.
 pub(crate) fn handlers<const W: usize>() -> [Handler<W>; N_OPS] {
@@ -364,14 +334,25 @@ pub(crate) fn handlers<const W: usize>() -> [Handler<W>; N_OPS] {
     ]
 }
 
-/// Run the serial instruction stream to completion through the dispatch
-/// table.
+/// Run every pending unit of the serial stream, in ascending position,
+/// through the dispatch table. Ascending position is topological order
+/// and every reader sits after its writer, so a mark set by a handler
+/// always lands ahead of the scan: the walk re-reads the current word
+/// after each dispatch and ends with the bitset empty.
 #[inline]
 pub(crate) fn run_stream<const W: usize>(ctx: &mut ExecCtx<'_, W>, instrs: &[Instr]) {
     let table = handlers::<W>();
-    let mut pc = 0usize;
-    while pc < instrs.len() {
-        pc = table[instrs[pc].op as usize](ctx, instrs, pc);
+    let mut w = 0usize;
+    while w < ctx.pending.len() {
+        let bits = ctx.pending[w];
+        if bits == 0 {
+            w += 1;
+            continue;
+        }
+        ctx.pending[w] = bits & (bits - 1);
+        let pc = (w << 6) | bits.trailing_zeros() as usize;
+        ctx.dispatched += 1;
+        table[instrs[pc].op as usize](ctx, instrs, pc);
     }
 }
 

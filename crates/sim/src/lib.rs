@@ -45,7 +45,7 @@ mod vcd;
 
 pub use compile::{
     collect_activity_compiled, run_random_compiled, CompiledAny, CompiledSim, Lanes, LowerStats,
-    Mask, MAX_STREAMS,
+    Mask, VmCounts, MAX_STREAMS,
 };
 pub use equiv::{
     data_inputs, data_outputs, equiv_stream, equiv_stream_warmup, replay_vectors, run_random,
