@@ -1,53 +1,34 @@
-//! Stage-granular checkpoint/resume for the conversion flow.
+//! Stage replay: the memoization key of each flow stage, the exact text
+//! form of a stage's artifacts, and [`CheckpointDir`], a directory of
+//! those artifacts that makes a flow resumable.
 //!
-//! After each major flow stage (preprocess, convert, retime, clock
-//! gating — the same sites as the lint checkpoints) the flow can persist
-//! its cumulative state: every intermediate netlist (via the exact
-//! [`triphase_netlist::snapshot`] text format) plus the per-stage report
-//! scalars. A resumed flow loads the latest checkpoint whose fingerprint
-//! matches the current input + configuration, skips the proven stages,
-//! and recomputes only what follows. Lint, formal-equivalence, and
-//! stream-validation checkpoints always re-run on resume (they are cheap
-//! and deterministic given the restored netlists), so a resumed
+//! The flow resolves its four transform stages (preprocess, convert,
+//! retime, clock gating — the same sites as the lint checkpoints)
+//! through a [`StageMemo`] keyed by [`stage_key`]: the stage's input
+//! netlist plus the configuration fields it reads. A rerun over the same
+//! store adopts every stage whose key matches and recomputes only from
+//! the first divergent one. Lint, formal-equivalence, and
+//! stream-validation checkpoints always re-run (they are cheap and
+//! deterministic given the replayed netlists), so a resumed
 //! [`crate::FlowReport`] is bit-identical to an uninterrupted one in
 //! everything but wall-clock timings.
 //!
-//! Checkpoint files are plain text, written atomically (temp file +
-//! rename) as `<design>.stage<N>.ckpt` under the configured directory.
-//! A file that is truncated, malformed, or fingerprint-mismatched is
-//! skipped in favor of an earlier stage — resume never trusts a stale or
-//! torn checkpoint.
+//! [`CheckpointDir`] keeps one `<stage>-<key>.stage` file per recorded
+//! stage, written atomically (temp file + rename). A truncated or
+//! malformed file reads as a miss — resume never adopts a torn entry.
 
 use crate::clockgate::CgReport;
 use crate::convert::ConvertReport;
 use crate::error::{Error, Result};
-use crate::flow::FlowConfig;
+use crate::flow::{FlowConfig, StageData, StageMemo};
 use crate::preprocess::PreprocessReport;
 use crate::retiming::RetimeReport;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+use std::str::Lines;
+use std::sync::atomic::{AtomicU64, Ordering};
 use triphase_fault::fnv1a64;
 use triphase_ilp::{SolveRung, Status};
 use triphase_netlist::{snapshot, Netlist};
-
-/// Where and how the flow checkpoints its stages.
-#[derive(Debug, Clone)]
-pub struct CheckpointCfg {
-    /// Directory for checkpoint files (created on first write).
-    pub dir: PathBuf,
-    /// Attempt to resume from the latest matching checkpoint before
-    /// running; stale or mismatched checkpoints are ignored.
-    pub resume: bool,
-}
-
-impl CheckpointCfg {
-    /// Checkpoint into `dir`, with resume enabled.
-    pub fn resume_in(dir: impl Into<PathBuf>) -> CheckpointCfg {
-        CheckpointCfg {
-            dir: dir.into(),
-            resume: true,
-        }
-    }
-}
 
 /// The flow stages that checkpoint, in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -72,47 +53,17 @@ impl Stage {
             Stage::ClockGate => "clockgate",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            Stage::Preprocess => 1,
-            Stage::Convert => 2,
-            Stage::Retime => 3,
-            Stage::ClockGate => 4,
-        }
-    }
-
-    /// Inverse of [`Stage::name`] (used when parsing journaled stage
-    /// records back into typed entries).
-    pub fn from_name(s: &str) -> Option<Stage> {
-        Some(match s {
-            "preprocess" => Stage::Preprocess,
-            "convert" => Stage::Convert,
-            "retime" => Stage::Retime,
-            "clockgate" => Stage::ClockGate,
-            _ => return None,
-        })
-    }
-
-    const ALL: [Stage; 4] = [
-        Stage::Preprocess,
-        Stage::Convert,
-        Stage::Retime,
-        Stage::ClockGate,
-    ];
 }
 
-/// Summary of the phase-assignment solve carried by the convert stage —
-/// in checkpoint files, and across processes in
-/// [`crate::StageData::Convert`] memoization entries (which is why the
-/// type is public).
+/// Summary of the phase-assignment solve carried by the convert stage's
+/// [`StageData::Convert`] entry (public because stage memos hold it).
 #[derive(Debug, Clone)]
 pub struct IlpOutcome {
     /// ILP objective value (p2 insertions).
     pub cost: usize,
     /// Whether the solve reached proven optimality.
     pub optimal: bool,
-    /// Solve wall-clock (s) — replayed verbatim on resume/memo hits so
+    /// Solve wall-clock (s) — replayed verbatim on memo hits so
     /// the reported solver time is the time actually spent solving.
     pub seconds: f64,
     /// Which rung of the ILP → exact → greedy chain answered.
@@ -123,29 +74,14 @@ pub struct IlpOutcome {
     pub fallbacks: usize,
 }
 
-/// Cumulative flow state at some checkpointed stage.
-#[derive(Debug, Clone)]
-pub(crate) struct FlowState {
-    pub fingerprint: u64,
-    pub stage: Stage,
-    pub pre: Netlist,
-    pub preprocess: PreprocessReport,
-    pub ilp: Option<IlpOutcome>,
-    pub convert: Option<(Netlist, ConvertReport)>,
-    pub retime: Option<(Netlist, RetimeReport)>,
-    pub clockgate: Option<(Netlist, CgReport, f64)>,
-}
-
 /// Fingerprint of the flow input: the exact netlist snapshot plus every
-/// configuration field that influences a checkpointed stage. Policies
+/// configuration field that influences a stage artifact. Policies
 /// (lint/equiv), validation cycle counts, and the fault hook are
-/// deliberately excluded — they never change stage artifacts, and a
-/// resume run routinely uses a different fault plan than the run that
-/// crashed.
+/// deliberately excluded — they never change stage artifacts.
 ///
-/// Exported as `flow_fingerprint`: it doubles as the whole-flow
-/// memoization key for services caching conversion results, exactly
-/// because two runs with equal fingerprints produce bit-identical stage
+/// Exported as `flow_fingerprint`: services key whole-report caches on
+/// it (extended with the excluded fields that shape the report), because
+/// two runs with equal fingerprints produce bit-identical stage
 /// artifacts.
 pub fn fingerprint(nl: &Netlist, cfg: &FlowConfig) -> u64 {
     use std::fmt::Write;
@@ -253,19 +189,52 @@ pub fn stage_key(stage: Stage, input: &Netlist, cfg: &FlowConfig, extra: u64) ->
     fnv1a64(s.as_bytes())
 }
 
-fn sanitize(name: &str) -> String {
-    let mut s: String = name
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect();
-    if s.is_empty() {
-        s.push('_');
-    }
-    s
+/// A directory-backed [`StageMemo`]: the durable store a library caller
+/// hands to [`crate::run_flow_memo`] to make a flow resumable. A killed
+/// run leaves its completed stages on disk; a rerun over the same
+/// directory replays them and recomputes from the first missing stage.
+///
+/// Each record is one `<stage>-<key>.stage` file holding the
+/// [`stage_data_to_text`] payload, written to a temp file and renamed
+/// into place, so a reader sees a whole entry or none. A file that does
+/// not parse (torn, truncated, or foreign) reads as a miss.
+#[derive(Debug, Clone)]
+pub struct CheckpointDir {
+    dir: PathBuf,
 }
 
-fn stage_path(dir: &Path, design: &str, stage: Stage) -> PathBuf {
-    dir.join(format!("{}.stage{}.ckpt", sanitize(design), stage.index()))
+impl CheckpointDir {
+    /// A store in `dir` (created on the first record).
+    pub fn new(dir: impl Into<PathBuf>) -> CheckpointDir {
+        CheckpointDir { dir: dir.into() }
+    }
+
+    fn path(&self, stage: Stage, key: u64) -> PathBuf {
+        self.dir.join(format!("{}-{key:016x}.stage", stage.name()))
+    }
+}
+
+impl StageMemo for CheckpointDir {
+    fn lookup(&self, stage: Stage, key: u64) -> Option<StageData> {
+        stage_data_from_text(&std::fs::read_to_string(self.path(stage, key)).ok()?)
+    }
+
+    /// # Errors
+    ///
+    /// [`Error::Checkpoint`] on any I/O failure (unwritable directory,
+    /// full disk, rename failure).
+    fn record(&self, stage: Stage, key: u64, data: &StageData) -> Result<()> {
+        // A temp name per write: concurrent writers never share one.
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let io =
+            |e: std::io::Error| Error::Checkpoint(format!("write {}: {e}", self.dir.display()));
+        std::fs::create_dir_all(&self.dir).map_err(io)?;
+        let path = self.path(stage, key);
+        let n = WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("{}.{n}.tmp", std::process::id()));
+        std::fs::write(&tmp, stage_data_to_text(data)).map_err(io)?;
+        std::fs::rename(&tmp, &path).map_err(io)
+    }
 }
 
 fn push_netlist(out: &mut String, section: &str, nl: &Netlist) {
@@ -277,187 +246,7 @@ fn push_netlist(out: &mut String, section: &str, nl: &Netlist) {
     }
 }
 
-fn serialize(st: &FlowState) -> String {
-    let mut s = String::new();
-    s.push_str("triphase checkpoint v1\n");
-    s.push_str(&format!("fingerprint {:016x}\n", st.fingerprint));
-    s.push_str(&format!("stage {}\n", st.stage.name()));
-    s.push_str(&format!(
-        "preprocess {} {}\n",
-        st.preprocess.converted_ffs, st.preprocess.icgs_inserted
-    ));
-    push_netlist(&mut s, "pre", &st.pre);
-    if let Some(ilp) = &st.ilp {
-        s.push_str(&format!(
-            "ilp {} {} {:016x} {} {} {}\n",
-            ilp.cost,
-            ilp.optimal as u8,
-            ilp.seconds.to_bits(),
-            ilp.rung.name(),
-            ilp.status.name(),
-            ilp.fallbacks
-        ));
-    }
-    if let Some((nl, r)) = &st.convert {
-        s.push_str(&format!(
-            "convert {} {} {} {}\n",
-            r.singles, r.back_to_back, r.pi_latches, r.icgs_duplicated
-        ));
-        push_netlist(&mut s, "convert", nl);
-    }
-    if let Some((nl, r)) = &st.retime {
-        s.push_str(&format!(
-            "retime {} {} {:016x} {:016x} {} {} {} {}\n",
-            r.ran as u8,
-            r.fell_back as u8,
-            r.original_ps.to_bits(),
-            r.achieved_ps.to_bits(),
-            r.met_target as u8,
-            r.movable,
-            r.pinned,
-            r.p2_after
-        ));
-        push_netlist(&mut s, "retime", nl);
-    }
-    if let Some((nl, r, secs)) = &st.clockgate {
-        s.push_str(&format!(
-            "clockgate {} {} {} {} {} {:016x}\n",
-            r.common_enable_gated,
-            r.m1_cells,
-            r.m2_replaced,
-            r.ddcg_groups,
-            r.ddcg_gated,
-            secs.to_bits()
-        ));
-        push_netlist(&mut s, "clockgate", nl);
-    }
-    s.push_str("end\n");
-    s
-}
-
-/// Atomically write the checkpoint for `st.stage`.
-///
-/// # Errors
-///
-/// [`Error::Checkpoint`] on any I/O failure (unwritable directory, full
-/// disk, rename failure).
-pub(crate) fn save(dir: &Path, design: &str, st: &FlowState) -> Result<()> {
-    let io = |e: std::io::Error| Error::Checkpoint(format!("write {}: {e}", dir.display()));
-    std::fs::create_dir_all(dir).map_err(io)?;
-    let path = stage_path(dir, design, st.stage);
-    let tmp = path.with_extension("ckpt.tmp");
-    std::fs::write(&tmp, serialize(st)).map_err(io)?;
-    std::fs::rename(&tmp, &path).map_err(io)?;
-    Ok(())
-}
-
-struct Reader<'a> {
-    lines: std::str::Lines<'a>,
-}
-
-impl<'a> Reader<'a> {
-    fn next(&mut self) -> Option<&'a str> {
-        self.lines.next()
-    }
-}
-
-fn parse(text: &str) -> Option<FlowState> {
-    let mut r = Reader {
-        lines: text.lines(),
-    };
-    if r.next()? != "triphase checkpoint v1" {
-        return None;
-    }
-    let fingerprint = u64::from_str_radix(r.next()?.strip_prefix("fingerprint ")?, 16).ok()?;
-    let stage = Stage::from_name(r.next()?.strip_prefix("stage ")?)?;
-    let mut pp = r.next()?.strip_prefix("preprocess ")?.split(' ');
-    let preprocess = PreprocessReport {
-        converted_ffs: pp.next()?.parse().ok()?,
-        icgs_inserted: pp.next()?.parse().ok()?,
-    };
-    let pre = parse_netlist(&mut r, "pre")?;
-    let mut ilp = None;
-    let mut convert = None;
-    let mut retime = None;
-    let mut clockgate = None;
-    loop {
-        let line = r.next()?;
-        if line == "end" {
-            break;
-        }
-        if let Some(rest) = line.strip_prefix("ilp ") {
-            let mut f = rest.split(' ');
-            ilp = Some(IlpOutcome {
-                cost: f.next()?.parse().ok()?,
-                optimal: parse_bool(f.next()?)?,
-                seconds: parse_f64(f.next()?)?,
-                rung: rung_from(f.next()?)?,
-                status: status_from(f.next()?)?,
-                fallbacks: f.next()?.parse().ok()?,
-            });
-        } else if let Some(rest) = line.strip_prefix("convert ") {
-            let mut f = rest.split(' ');
-            let report = ConvertReport {
-                singles: f.next()?.parse().ok()?,
-                back_to_back: f.next()?.parse().ok()?,
-                pi_latches: f.next()?.parse().ok()?,
-                icgs_duplicated: f.next()?.parse().ok()?,
-            };
-            convert = Some((parse_netlist(&mut r, "convert")?, report));
-        } else if let Some(rest) = line.strip_prefix("retime ") {
-            let mut f = rest.split(' ');
-            let report = RetimeReport {
-                ran: parse_bool(f.next()?)?,
-                fell_back: parse_bool(f.next()?)?,
-                original_ps: parse_f64(f.next()?)?,
-                achieved_ps: parse_f64(f.next()?)?,
-                met_target: parse_bool(f.next()?)?,
-                movable: f.next()?.parse().ok()?,
-                pinned: f.next()?.parse().ok()?,
-                p2_after: f.next()?.parse().ok()?,
-            };
-            retime = Some((parse_netlist(&mut r, "retime")?, report));
-        } else if let Some(rest) = line.strip_prefix("clockgate ") {
-            let mut f = rest.split(' ');
-            let report = CgReport {
-                common_enable_gated: f.next()?.parse().ok()?,
-                m1_cells: f.next()?.parse().ok()?,
-                m2_replaced: f.next()?.parse().ok()?,
-                ddcg_groups: f.next()?.parse().ok()?,
-                ddcg_gated: f.next()?.parse().ok()?,
-            };
-            let secs = parse_f64(f.next()?)?;
-            clockgate = Some((parse_netlist(&mut r, "clockgate")?, report, secs));
-        } else {
-            return None;
-        }
-    }
-    // The stage implies which cumulative sections must be present. The
-    // retime section is required only at exactly `Stage::Retime`: a flow
-    // with retiming disabled legitimately checkpoints `ClockGate`
-    // without one.
-    if stage >= Stage::Convert && (ilp.is_none() || convert.is_none()) {
-        return None;
-    }
-    if stage == Stage::Retime && retime.is_none() {
-        return None;
-    }
-    if stage >= Stage::ClockGate && clockgate.is_none() {
-        return None;
-    }
-    Some(FlowState {
-        fingerprint,
-        stage,
-        pre,
-        preprocess,
-        ilp,
-        convert,
-        retime,
-        clockgate,
-    })
-}
-
-fn parse_netlist(r: &mut Reader<'_>, section: &str) -> Option<Netlist> {
+fn parse_netlist(r: &mut Lines<'_>, section: &str) -> Option<Netlist> {
     let header = r.next()?;
     let rest = header.strip_prefix("netlist ")?;
     let rest = rest.strip_prefix(section)?;
@@ -504,14 +293,12 @@ fn status_from(s: &str) -> Option<Status> {
     })
 }
 
-/// Serialize one memoized stage entry ([`crate::StageData`]) to the
-/// checkpoint text format — the building block of `triphase-serve`'s
-/// durable job journal. The payload reuses the exact per-stage field
-/// encodings of the whole-flow checkpoint (bit-patterned floats, exact
-/// snapshot text), so a replayed entry is byte-identical to the value
-/// the original run recorded.
-pub fn stage_data_to_text(data: &crate::StageData) -> String {
-    use crate::StageData;
+/// Serialize one stage entry to its exact text form — the payload of
+/// [`CheckpointDir`] files and of `triphase-serve`'s job journal. Floats
+/// are written as bit patterns and netlists as exact snapshot text, so a
+/// replayed entry is byte-identical to the value the original run
+/// recorded.
+pub fn stage_data_to_text(data: &StageData) -> String {
     let mut s = String::new();
     s.push_str("triphase stagedata v1\n");
     match data {
@@ -574,13 +361,10 @@ pub fn stage_data_to_text(data: &crate::StageData) -> String {
 }
 
 /// Parse a [`stage_data_to_text`] payload. Returns `None` on any
-/// truncation or field corruption — a journal replaying entries through
-/// this function silently drops torn records instead of adopting them.
-pub fn stage_data_from_text(text: &str) -> Option<crate::StageData> {
-    use crate::StageData;
-    let mut r = Reader {
-        lines: text.lines(),
-    };
+/// truncation or field corruption — a store or journal replaying entries
+/// through this function drops torn records instead of adopting them.
+pub fn stage_data_from_text(text: &str) -> Option<StageData> {
+    let mut r = text.lines();
     if r.next()? != "triphase stagedata v1" {
         return None;
     }
@@ -647,160 +431,13 @@ pub fn stage_data_from_text(text: &str) -> Option<crate::StageData> {
     Some(data)
 }
 
-/// Load the latest-stage checkpoint for `design` whose fingerprint is
-/// `fp`. Torn, malformed, or mismatched files are skipped silently —
-/// resume falls back to the most recent trustworthy stage (or a fresh
-/// run when none exists).
-pub(crate) fn load_latest(dir: &Path, design: &str, fp: u64) -> Option<FlowState> {
-    for stage in Stage::ALL.iter().rev() {
-        let path = stage_path(dir, design, *stage);
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        if let Some(st) = parse(&text) {
-            if st.fingerprint == fp && st.stage == *stage {
-                return Some(st);
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use triphase_circuits::pipeline::linear_pipeline;
 
-    fn state(stage: Stage) -> FlowState {
-        let pre = linear_pipeline(3, 2, 1, 900.0);
-        let tp = linear_pipeline(2, 2, 0, 900.0);
-        FlowState {
-            fingerprint: 0xdead_beef_cafe_f00d,
-            stage,
-            pre,
-            preprocess: PreprocessReport {
-                converted_ffs: 3,
-                icgs_inserted: 1,
-            },
-            ilp: (stage >= Stage::Convert).then_some(IlpOutcome {
-                cost: 4,
-                optimal: true,
-                seconds: 0.125,
-                rung: SolveRung::Exact,
-                status: Status::Optimal,
-                fallbacks: 1,
-            }),
-            convert: (stage >= Stage::Convert).then(|| {
-                (
-                    tp.clone(),
-                    ConvertReport {
-                        singles: 2,
-                        back_to_back: 1,
-                        pi_latches: 1,
-                        icgs_duplicated: 0,
-                    },
-                )
-            }),
-            retime: (stage >= Stage::Retime).then(|| {
-                (
-                    tp.clone(),
-                    RetimeReport {
-                        ran: true,
-                        fell_back: false,
-                        original_ps: 612.5,
-                        achieved_ps: 450.0,
-                        met_target: true,
-                        movable: 2,
-                        pinned: 1,
-                        p2_after: 3,
-                    },
-                )
-            }),
-            clockgate: (stage >= Stage::ClockGate).then(|| {
-                (
-                    tp.clone(),
-                    CgReport {
-                        common_enable_gated: 1,
-                        m1_cells: 1,
-                        m2_replaced: 0,
-                        ddcg_groups: 1,
-                        ddcg_gated: 2,
-                    },
-                    1.5,
-                )
-            }),
-        }
-    }
-
-    #[test]
-    fn round_trip_every_stage() {
-        for stage in Stage::ALL {
-            let st = state(stage);
-            let text = serialize(&st);
-            let back = parse(&text).expect("parses");
-            assert_eq!(back.stage, stage);
-            assert_eq!(back.fingerprint, st.fingerprint);
-            assert_eq!(
-                snapshot::to_text(&back.pre),
-                snapshot::to_text(&st.pre),
-                "pre netlist exact"
-            );
-            assert_eq!(back.ilp.is_some(), st.ilp.is_some());
-            if let (Some(a), Some(b)) = (&back.ilp, &st.ilp) {
-                assert_eq!(a.cost, b.cost);
-                assert_eq!(a.rung, b.rung);
-                assert_eq!(a.status, b.status);
-                assert_eq!(a.seconds.to_bits(), b.seconds.to_bits());
-            }
-            if let (Some((na, ra)), Some((nb, rb))) = (&back.retime, &st.retime) {
-                assert_eq!(snapshot::to_text(na), snapshot::to_text(nb));
-                assert_eq!(ra.achieved_ps.to_bits(), rb.achieved_ps.to_bits());
-            }
-            if let (Some((_, ra, sa)), Some((_, rb, sb))) = (&back.clockgate, &st.clockgate) {
-                assert_eq!(ra, rb);
-                assert_eq!(sa.to_bits(), sb.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn truncated_or_corrupt_checkpoints_are_rejected() {
-        let st = state(Stage::ClockGate);
-        let text = serialize(&st);
-        assert!(parse(&text).is_some());
-        // Any truncation loses the end marker or a section → reject.
-        for frac in [10, 30, 50, 70, 90] {
-            let cut = text.len() * frac / 100;
-            assert!(parse(&text[..cut]).is_none(), "cut at {frac}%");
-        }
-        // A clockgate-stage header whose section is mangled → reject.
-        let lying = text.replacen("clockgate 1 1 0 1 2", "garbage 1 1 0 1 2", 1);
-        assert!(parse(&lying).is_none());
-    }
-
-    #[test]
-    fn save_and_load_latest_prefers_later_stage_and_matching_fingerprint() {
-        let dir = std::env::temp_dir().join("triphase_ckpt_test_a");
-        let _ = std::fs::remove_dir_all(&dir);
-        let early = state(Stage::Preprocess);
-        let late = state(Stage::Retime);
-        save(&dir, "d1", &early).unwrap();
-        save(&dir, "d1", &late).unwrap();
-        let got = load_latest(&dir, "d1", early.fingerprint).expect("loads");
-        assert_eq!(got.stage, Stage::Retime);
-        // Wrong fingerprint: nothing trustworthy.
-        assert!(load_latest(&dir, "d1", 42).is_none());
-        // Corrupt the late file: falls back to the earlier stage.
-        let path = dir.join("d1.stage3.ckpt");
-        std::fs::write(&path, "triphase checkpoint v1\ngarbage").unwrap();
-        let got = load_latest(&dir, "d1", early.fingerprint).expect("falls back");
-        assert_eq!(got.stage, Stage::Preprocess);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn stage_data_round_trips_and_rejects_truncation() {
-        use crate::StageData;
         let nl = linear_pipeline(3, 2, 1, 900.0);
         let entries = [
             StageData::Preprocess(
@@ -883,8 +520,7 @@ mod tests {
         assert_ne!(a, fingerprint(&nl, &c3));
         let other = linear_pipeline(4, 2, 1, 900.0);
         assert_ne!(a, fingerprint(&other, &cfg));
-        // Policies and fault hooks are not fingerprinted: a resume run
-        // may use a different fault plan than the crashed run.
+        // Policies and fault hooks are not fingerprinted.
         let mut c4 = cfg.clone();
         c4.lint = crate::LintPolicy::Deny;
         c4.fault = Some(triphase_fault::FaultPlan::new(7).shared());

@@ -40,9 +40,19 @@ pub enum Error {
     /// (variant evaluation, benchmark run). The message carries the task
     /// name and, when downcastable, the panic payload.
     Panic(String),
-    /// A stage checkpoint could not be written, read, or matched against
-    /// the current flow configuration.
+    /// A [`crate::CheckpointDir`] could not bank a stage (I/O failure).
     Checkpoint(String),
+    /// The stage observer of [`crate::run_flow_memo`] stopped the flow at
+    /// a stage boundary (a cancelled or past-deadline service job).
+    Cancelled {
+        /// Why the observer stopped: `"cancelled"` or
+        /// `"deadline_exceeded"`.
+        reason: &'static str,
+        /// The last stage already banked in the stage memo (`None` when
+        /// the flow stopped before its first stage); a rerun over the
+        /// same memo replays up to and including it.
+        last_banked: Option<crate::Stage>,
+    },
 }
 
 impl Error {
@@ -97,6 +107,14 @@ impl fmt::Display for Error {
             }
             Error::Panic(m) => write!(f, "task panicked: {m}"),
             Error::Checkpoint(m) => write!(f, "checkpoint error: {m}"),
+            Error::Cancelled {
+                reason,
+                last_banked,
+            } => write!(
+                f,
+                "{reason}: aborted at a stage boundary; last banked stage: {}",
+                last_banked.map_or("none", crate::Stage::name)
+            ),
         }
     }
 }

@@ -3,13 +3,15 @@
 //! simulation-based validation, and grouped power estimation — for all
 //! three design styles (FF, master-slave, 3-phase).
 
-use crate::checkpoint::{self, CheckpointCfg, FlowState, IlpOutcome, Stage};
+use crate::checkpoint::{stage_key, IlpOutcome, Stage};
 use crate::clockgate::{apply_ddcg_static, apply_m2, gate_p2_common_enable, CgReport};
 use crate::convert::{to_master_slave, to_three_phase, ConvertReport};
 use crate::error::{Error, Result};
 use crate::ffgraph::{assign_phases, assign_phases_weighted, extract_ff_graph};
 use crate::preprocess::{gated_clock_style, PreprocessReport};
 use crate::retiming::{retime_three_phase, RetimeReport};
+use std::borrow::Borrow;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 use triphase_cells::Library;
@@ -24,8 +26,9 @@ use triphase_timing::analyze_smo;
 
 /// Stimulus provider: produces a switching-activity profile for a design
 /// variant. The default drives seeded pseudo-random inputs through the
-/// bit-parallel packed kernel; CPU benchmarks substitute a closure that
-/// pins the workload-select input. `Sync` because the flow evaluates its
+/// kernel [`FlowConfig::sim_backend`] selects (the compiled bytecode VM
+/// unless set otherwise); CPU benchmarks substitute a closure that pins
+/// the workload-select input. `Sync` because the flow evaluates its
 /// design variants on the [`triphase_par`] pool concurrently.
 pub type Drive<'a> = dyn Fn(&Netlist, u64) -> triphase_sim::Result<Activity> + Sync + 'a;
 
@@ -209,8 +212,6 @@ pub struct FlowConfig {
     /// `"flow.stage.<stage>"`, `"flow.variant.<name>"`). Note the ILP
     /// sites live on [`PhaseConfig::hook`]; `None` in production.
     pub fault: Option<SharedInjector>,
-    /// Stage checkpoint/resume configuration (`None` = no persistence).
-    pub checkpoint: Option<CheckpointCfg>,
 }
 
 impl Default for FlowConfig {
@@ -234,7 +235,6 @@ impl Default for FlowConfig {
             dfa: DfaPolicy::default(),
             activity: ActivityCfg::default(),
             fault: None,
-            checkpoint: None,
         }
     }
 }
@@ -451,7 +451,6 @@ pub fn run_flow(nl: &Netlist, lib: &Library, cfg: &FlowConfig) -> Result<FlowRep
         &move |n: &Netlist, cycles: u64| backend.collect(n, seed, cycles),
         backend.label(),
         None,
-        None,
     )
 }
 
@@ -469,13 +468,13 @@ pub fn run_flow_with(
 ) -> Result<FlowReport> {
     // Custom stimulus is opaque to the memoization keys, so this entry
     // point never consults a stage cache.
-    run_flow_inner(nl, lib, cfg, drive, "custom", None, None)
+    run_flow_inner(nl, lib, cfg, drive, "custom", None)
 }
 
 /// The artifacts one flow stage produces, as stored in (and replayed
 /// from) a [`StageMemo`]. Each variant carries exactly what the flow
 /// would have computed fresh: the stage's output netlist plus its report
-/// scalars, so a memo hit is indistinguishable from a checkpoint resume.
+/// scalars, so a memo hit is indistinguishable from a fresh computation.
 #[derive(Debug, Clone)]
 pub enum StageData {
     /// Gated-clock preprocessing: the `pre` netlist and its report.
@@ -508,7 +507,8 @@ impl StageData {
     }
 }
 
-/// A stage-result cache consulted by [`run_flow_memo`].
+/// A stage-result cache consulted by [`run_flow_memo`]: in memory (a
+/// service's store) or on disk ([`crate::CheckpointDir`]).
 ///
 /// Keys come from [`crate::stage_key`]: the stage's input netlist
 /// snapshot plus the configuration fields that stage reads. The flow
@@ -520,7 +520,12 @@ pub trait StageMemo: Sync {
     /// Return the cached artifacts for `(stage, key)`, if any.
     fn lookup(&self, stage: Stage, key: u64) -> Option<StageData>;
     /// Store freshly computed artifacts under `(stage, key)`.
-    fn record(&self, stage: Stage, key: u64, data: &StageData);
+    ///
+    /// # Errors
+    ///
+    /// A store that cannot bank the entry fails the flow (for
+    /// [`crate::CheckpointDir`], [`Error::Checkpoint`]).
+    fn record(&self, stage: Stage, key: u64, data: &StageData) -> Result<()>;
 }
 
 /// One per-stage cache-provenance event streamed by [`run_flow_memo`],
@@ -531,35 +536,41 @@ pub struct StageObservation {
     pub stage: Stage,
     /// Its memoization key ([`crate::stage_key`]).
     pub key: u64,
-    /// `true` when the stage was replayed from the memo (or a matching
-    /// checkpoint) instead of computed fresh.
+    /// `true` when the stage was replayed from the memo instead of
+    /// computed fresh.
     pub hit: bool,
 }
 
 /// [`run_flow`] with a stage-result cache and a per-stage provenance
-/// observer — the service entry point for memoized incremental
-/// conversion.
+/// observer — the entry point for memoized incremental conversion (a
+/// service's in-memory store) and for resumable flows (a
+/// [`crate::CheckpointDir`] on disk).
 ///
-/// Before computing each of the four checkpointed stages the flow asks
-/// `memo` for the stage's key; on a hit the cached netlist + report are
-/// adopted verbatim and the stage is skipped, on a miss the stage runs
-/// and its artifacts are recorded. Because the lookup is threaded
-/// through the *same* `run_flow` body (lint/equiv/dfa checkpoints,
-/// validation, and variant evaluation all still run), a replayed flow
-/// returns a [`FlowReport`] bit-identical to an uninterrupted run in
-/// everything but wall-clock timings — the same argument the
-/// checkpoint/resume layer makes. `observe` receives one
-/// [`StageObservation`] per executed stage, in order.
+/// Each of the four transform stages is resolved the same way: look its
+/// key up in `memo`; on a miss, compute the stage and record it; report
+/// it to `observe`; then, for a freshly computed stage only, fire its
+/// `flow.stage.<stage>` fault site. So every observed stage is already
+/// banked, and a run killed at a fault site leaves that stage durable: a
+/// rerun over the same store replays it and skips the site. Because the
+/// lookup is threaded through the *same* `run_flow` body (lint/equiv/dfa
+/// checkpoints, validation, and variant evaluation all still run), a
+/// replayed flow returns a [`FlowReport`] bit-identical to an
+/// uninterrupted run in everything but wall-clock timings. `observe`
+/// receives one [`StageObservation`] per stage, in order; returning
+/// [`ControlFlow::Break`] with a reason stops the flow at that stage
+/// boundary.
 ///
 /// # Errors
 ///
-/// See [`run_flow`].
+/// See [`run_flow`]; also the store's [`StageMemo::record`] failures,
+/// and [`Error::Cancelled`] (naming the observed stage as the last
+/// banked one) when `observe` breaks.
 pub fn run_flow_memo(
     nl: &Netlist,
     lib: &Library,
     cfg: &FlowConfig,
     memo: &dyn StageMemo,
-    observe: &mut dyn FnMut(StageObservation),
+    observe: &mut dyn FnMut(StageObservation) -> ControlFlow<&'static str>,
 ) -> Result<FlowReport> {
     let seed = cfg.seed;
     let backend = cfg.sim_backend;
@@ -569,9 +580,68 @@ pub fn run_flow_memo(
         cfg,
         &move |n: &Netlist, cycles: u64| backend.collect(n, seed, cycles),
         backend.label(),
-        Some(memo),
-        Some(observe),
+        Some((memo, observe)),
     )
+}
+
+/// The stage store and observer of [`run_flow_memo`].
+type Replay<'a> = (
+    &'a dyn StageMemo,
+    &'a mut dyn FnMut(StageObservation) -> ControlFlow<&'static str>,
+);
+
+/// Resolve one transform stage from `input`. Without a replay store the
+/// stage is computed. With one, its key is looked up; a miss is computed
+/// and recorded; either way the stage is then reported to the observer.
+/// A freshly computed stage finally honors its injected-crash site — the
+/// worst place to die for an unprotected flow, since its artifacts just
+/// became durable. Replayed stages skip the site, which is what lets a
+/// rerun sail past a fault that killed its first run.
+fn run_stage<I: Borrow<Netlist>>(
+    replay: &mut Option<Replay<'_>>,
+    cfg: &FlowConfig,
+    stage: Stage,
+    input: I,
+    extra: u64,
+    compute: impl FnOnce(I) -> Result<StageData>,
+) -> Result<StageData> {
+    let mut fresh = true;
+    let data = match replay {
+        None => compute(input)?,
+        Some((memo, observe)) => {
+            // Keys serialize the whole input netlist, so they are only
+            // computed when a store consumes them.
+            let key = stage_key(stage, input.borrow(), cfg, extra);
+            // A store returning the wrong variant is treated as a miss.
+            let hit = memo.lookup(stage, key).filter(|d| d.stage() == stage);
+            fresh = hit.is_none();
+            let data = match hit {
+                Some(data) => data,
+                None => {
+                    let data = compute(input)?;
+                    memo.record(stage, key, &data)?;
+                    data
+                }
+            };
+            let obs = StageObservation {
+                stage,
+                key,
+                hit: !fresh,
+            };
+            if let ControlFlow::Break(reason) = observe(obs) {
+                return Err(Error::Cancelled {
+                    reason,
+                    last_banked: Some(stage),
+                });
+            }
+            data
+        }
+    };
+    let site = format!("flow.stage.{}", stage.name());
+    if fresh && matches!(fault_at(&cfg.fault, &site), Some(Fault::Panic)) {
+        injected_panic(&site);
+    }
+    Ok(data)
 }
 
 fn run_flow_inner(
@@ -580,8 +650,7 @@ fn run_flow_inner(
     cfg: &FlowConfig,
     drive: &Drive<'_>,
     sim_backend: &'static str,
-    memo: Option<&dyn StageMemo>,
-    mut observe: Option<&mut dyn FnMut(StageObservation)>,
+    mut replay: Option<Replay<'_>>,
 ) -> Result<FlowReport> {
     // Input hardening: malformed or adversarial netlists become typed
     // errors before any stage touches them.
@@ -601,93 +670,24 @@ fn run_flow_inner(
     };
     let drive: &Drive<'_> = &wrapped_drive;
 
-    // Checkpoint/resume: adopt the latest stage whose fingerprint matches
-    // this exact input netlist + configuration.
-    let ck = cfg.checkpoint.as_ref();
-    let fp = ck.map_or(0, |_| checkpoint::fingerprint(nl, cfg));
-    let restored: Option<FlowState> = ck
-        .filter(|c| c.resume)
-        .and_then(|c| checkpoint::load_latest(&c.dir, &nl.name, fp));
-    let have = |s: Stage| restored.as_ref().is_some_and(|st| st.stage >= s);
-    // Stage memoization keys serialize the stage's input netlist, so
-    // they are only computed when someone consumes them (a memo store or
-    // a provenance observer).
-    let keyed = memo.is_some() || observe.is_some();
-    let memo_get = |stage: Stage, key: Option<u64>| -> Option<StageData> {
-        let data = memo?.lookup(stage, key?)?;
-        // A store returning the wrong variant is treated as a miss.
-        (data.stage() == stage).then_some(data)
-    };
-    // Persist the cumulative state after a freshly computed stage and
-    // record its artifacts in the memo store, then honor the stage's
-    // injected-crash site (the worst place to die for an unprotected
-    // flow: artifacts just became durable). Replayed stages — from a
-    // checkpoint or the memo — skip all three, which is what lets a
-    // resubmitted job sail past a fault that killed its first run.
-    let stage_mark =
-        |stage: Stage, state: Option<&FlowState>, entry: Option<(u64, StageData)>| -> Result<()> {
-            if let (Some(c), Some(st)) = (ck, state) {
-                checkpoint::save(&c.dir, &nl.name, st)?;
-            }
-            if let (Some(m), Some((key, data))) = (memo, entry) {
-                m.record(stage, key, &data);
-            }
-            let site = format!("flow.stage.{}", stage.name());
-            if matches!(fault_at(&cfg.fault, &site), Some(Fault::Panic)) {
-                injected_panic(&site);
-            }
-            Ok(())
-        };
-
     // Lint and formal-equivalence checkpoints always re-run, even over
-    // restored stages: they are cheap, deterministic functions of the
-    // restored netlists, so a resumed report carries the same evidence.
+    // replayed stages: they are cheap, deterministic functions of the
+    // replayed netlists, so a resumed report carries the same evidence.
     let linter = (cfg.lint != LintPolicy::Off).then(Linter::new);
     let mut lint_reports = Vec::new();
 
     // Stage 1 — shared preprocessing: the FF baseline also uses gated
     // clocks (the paper lets the tool pick the best CG style for every
     // variant).
-    let k_pre = keyed.then(|| checkpoint::stage_key(Stage::Preprocess, nl, cfg, 0));
-    let mut memo_pre = false;
-    let (pre, preprocess) = match &restored {
-        Some(st) => (st.pre.clone(), st.preprocess.clone()),
-        None => match memo_get(Stage::Preprocess, k_pre) {
-            Some(StageData::Preprocess(p, rep)) => {
-                memo_pre = true;
-                (p, rep)
-            }
-            _ => {
-                let mut p = nl.clone();
-                let rep = gated_clock_style(&mut p, cfg.cg_max_fanout)?;
-                (p.compact(), rep)
-            }
-        },
+    let StageData::Preprocess(pre, preprocess) =
+        run_stage(&mut replay, cfg, Stage::Preprocess, nl, 0, |nl| {
+            let mut p = nl.clone();
+            let rep = gated_clock_style(&mut p, cfg.cg_max_fanout)?;
+            Ok(StageData::Preprocess(p.compact(), rep))
+        })?
+    else {
+        unreachable!("run_stage resolves the requested stage")
     };
-    let pre_fresh = !have(Stage::Preprocess) && !memo_pre;
-    if let (Some(o), Some(key)) = (observe.as_mut(), k_pre) {
-        o(StageObservation {
-            stage: Stage::Preprocess,
-            key,
-            hit: !pre_fresh,
-        });
-    }
-    let mut state = ck.map(|_| FlowState {
-        fingerprint: fp,
-        stage: Stage::Preprocess,
-        pre: pre.clone(),
-        preprocess: preprocess.clone(),
-        ilp: None,
-        convert: None,
-        retime: None,
-        clockgate: None,
-    });
-    if pre_fresh {
-        let entry = memo
-            .and(k_pre)
-            .map(|k| (k, StageData::Preprocess(pre.clone(), preprocess.clone())));
-        stage_mark(Stage::Preprocess, state.as_ref(), entry)?;
-    }
     lint_checkpoint(
         linter.as_ref(),
         cfg.lint,
@@ -704,12 +704,12 @@ fn run_flow_inner(
         &mut dfa_reports,
     )?;
 
-    // Master-slave baseline (cheap; recomputed even on resume).
+    // Master-slave baseline (cheap; recomputed even on replay).
     let ms_nl = to_master_slave(&pre)?;
 
     // Static switching-activity model on the preprocessed design. Like
     // the lint checkpoints, it is a cheap deterministic function of the
-    // stage netlist and re-runs even over restored stages so the report
+    // stage netlist and re-runs even over replayed stages so the report
     // carries the same provenance either way.
     let activity_opts = triphase_activity::AnalysisOptions {
         cut_budget: cfg.activity.cut_budget,
@@ -727,70 +727,37 @@ fn run_flow_inner(
 
     // Stage 2 — ILP phase assignment + conversion.
     let t0 = Instant::now();
-    let k_conv = keyed.then(|| checkpoint::stage_key(Stage::Convert, &pre, cfg, 0));
-    let restored_convert = restored
-        .as_ref()
-        .filter(|st| st.stage >= Stage::Convert)
-        .and_then(|st| Some((st.ilp.clone()?, st.convert.clone()?)));
-    let mut memo_conv = false;
-    let restored_conv = restored_convert.is_some();
-    let (ilp, mut tp, convert_report) = match restored_convert {
-        Some((ilp, (tp, cr))) => (ilp, tp, cr),
-        None => match memo_get(Stage::Convert, k_conv) {
-            Some(StageData::Convert {
-                ilp,
-                netlist,
-                report,
-            }) => {
-                memo_conv = true;
-                (ilp, netlist, report)
-            }
-            _ => {
-                let idx = pre.index();
-                let graph = extract_ff_graph(&pre, &idx)?;
-                let a = match static_pre.as_ref().filter(|_| static_ok) {
-                    Some(model) => assign_phases_weighted(&graph, &cfg.phase_cfg, &pre, model),
-                    None => assign_phases(&graph, &cfg.phase_cfg),
-                };
-                let ilp = IlpOutcome {
-                    cost: a.cost,
-                    optimal: a.optimal,
-                    seconds: a.solve_seconds,
-                    rung: a.rung,
-                    status: a.status,
-                    fallbacks: a.fallbacks,
-                };
-                let (tp, cr) = to_three_phase(&pre, &a)?;
-                (ilp, tp, cr)
-            }
-        },
+    let mut ilp_fresh = false;
+    let StageData::Convert {
+        ilp,
+        netlist: mut tp,
+        report: convert_report,
+    } = run_stage(&mut replay, cfg, Stage::Convert, &pre, 0, |pre| {
+        ilp_fresh = true;
+        let idx = pre.index();
+        let graph = extract_ff_graph(pre, &idx)?;
+        let a = match static_pre.as_ref().filter(|_| static_ok) {
+            Some(model) => assign_phases_weighted(&graph, &cfg.phase_cfg, pre, model),
+            None => assign_phases(&graph, &cfg.phase_cfg),
+        };
+        let ilp = IlpOutcome {
+            cost: a.cost,
+            optimal: a.optimal,
+            seconds: a.solve_seconds,
+            rung: a.rung,
+            status: a.status,
+            fallbacks: a.fallbacks,
+        };
+        let (netlist, report) = to_three_phase(pre, &a)?;
+        Ok(StageData::Convert {
+            ilp,
+            netlist,
+            report,
+        })
+    })?
+    else {
+        unreachable!("run_stage resolves the requested stage")
     };
-    let ilp_fresh = !restored_conv && !memo_conv;
-    if let (Some(o), Some(key)) = (observe.as_mut(), k_conv) {
-        o(StageObservation {
-            stage: Stage::Convert,
-            key,
-            hit: !ilp_fresh,
-        });
-    }
-    if let Some(st) = &mut state {
-        st.stage = Stage::Convert;
-        st.ilp = Some(ilp.clone());
-        st.convert = Some((tp.clone(), convert_report));
-    }
-    if ilp_fresh {
-        let entry = memo.and(k_conv).map(|k| {
-            (
-                k,
-                StageData::Convert {
-                    ilp: ilp.clone(),
-                    netlist: tp.clone(),
-                    report: convert_report,
-                },
-            )
-        });
-        stage_mark(Stage::Convert, state.as_ref(), entry)?;
-    }
     lint_checkpoint(
         linter.as_ref(),
         cfg.lint,
@@ -813,48 +780,15 @@ fn run_flow_inner(
     let mut retime_report = None;
     if cfg.retime {
         let before = (cfg.equiv != EquivPolicy::Off).then(|| tp.clone());
-        let k_rt = keyed.then(|| checkpoint::stage_key(Stage::Retime, &tp, cfg, 0));
-        let restored_rt = restored
-            .as_ref()
-            .filter(|st| st.stage >= Stage::Retime)
-            .and_then(|st| st.retime.clone());
-        let mut rt_fresh = restored_rt.is_none();
-        match restored_rt {
-            Some((rt, rr)) => {
-                tp = rt;
-                retime_report = Some(rr);
-            }
-            None => match memo_get(Stage::Retime, k_rt) {
-                Some(StageData::Retime(rt, rr)) => {
-                    rt_fresh = false;
-                    tp = rt;
-                    retime_report = Some(rr);
-                }
-                _ => {
-                    let (rt, rr) = retime_three_phase(&tp, lib, cfg.retime_target_ratio)?;
-                    tp = rt;
-                    retime_report = Some(rr);
-                }
-            },
-        }
-        if let (Some(o), Some(key)) = (observe.as_mut(), k_rt) {
-            o(StageObservation {
-                stage: Stage::Retime,
-                key,
-                hit: !rt_fresh,
-            });
-        }
-        if let Some(st) = &mut state {
-            st.stage = Stage::Retime;
-            st.retime = retime_report.clone().map(|r| (tp.clone(), r));
-        }
-        if rt_fresh {
-            let entry = match (memo.and(k_rt), &retime_report) {
-                (Some(k), Some(r)) => Some((k, StageData::Retime(tp.clone(), r.clone()))),
-                _ => None,
-            };
-            stage_mark(Stage::Retime, state.as_ref(), entry)?;
-        }
+        let StageData::Retime(rt, rr) = run_stage(&mut replay, cfg, Stage::Retime, &tp, 0, |tp| {
+            let (rt, rr) = retime_three_phase(tp, lib, cfg.retime_target_ratio)?;
+            Ok(StageData::Retime(rt, rr))
+        })?
+        else {
+            unreachable!("run_stage resolves the requested stage")
+        };
+        tp = rt;
+        retime_report = Some(rr);
         lint_checkpoint(
             linter.as_ref(),
             cfg.lint,
@@ -876,91 +810,63 @@ fn run_flow_inner(
     // decision bit: it is computed on the *preprocessed* netlist, so two
     // submissions whose gating inputs match but whose activity decisions
     // differ must not share cache entries.
-    let k_cg =
-        keyed.then(|| checkpoint::stage_key(Stage::ClockGate, &tp, cfg, u64::from(static_ok)));
-    let restored_cg = restored
-        .as_ref()
-        .filter(|st| st.stage >= Stage::ClockGate)
-        .and_then(|st| st.clockgate.clone());
-    let mut cg_fresh = restored_cg.is_none();
-    let (tp, cg, convert_seconds) = match restored_cg {
-        Some(section) => section,
-        None => match memo_get(Stage::ClockGate, k_cg) {
-            Some(StageData::ClockGate(gated, cg, secs)) => {
-                cg_fresh = false;
-                (gated, cg, secs)
+    let extra = u64::from(static_ok);
+    let StageData::ClockGate(tp, cg, convert_seconds) =
+        run_stage(&mut replay, cfg, Stage::ClockGate, tp, extra, |mut tp| {
+            let mut cg = CgReport::default();
+            if cfg.common_enable_cg {
+                let r = gate_p2_common_enable(&mut tp, cfg.cg_max_fanout)?;
+                cg.common_enable_gated = r.common_enable_gated;
+                cg.m1_cells = r.m1_cells;
             }
-            _ => {
-                let mut cg = CgReport::default();
-                if cfg.common_enable_cg {
-                    let r = gate_p2_common_enable(&mut tp, cfg.cg_max_fanout)?;
-                    cg.common_enable_gated = r.common_enable_gated;
-                    cg.m1_cells = r.m1_cells;
-                }
-                if cfg.m2 {
-                    cg.m2_replaced = apply_m2(&mut tp)?;
-                }
-                if cfg.ddcg {
-                    // Trial placement so DDCG groups can be formed spatially
-                    // (each gated subtree must stay compact).
-                    let trial = place_and_route(&tp, lib, &cfg.pnr)?;
-                    // Zero-simulation candidate ranking from the static
-                    // model, re-analyzed on the converted netlist; same
-                    // Warn-style fallback to a measured profile.
-                    let static_tp = (static_ok)
-                        .then(|| triphase_activity::analyze(&tp, &activity_opts).ok())
-                        .flatten()
-                        .filter(|m| {
-                            m.converged && m.correlation_rate() <= cfg.activity.max_correlation_rate
-                        });
-                    let r = match &static_tp {
-                        Some(model) => apply_ddcg_static(
+            if cfg.m2 {
+                cg.m2_replaced = apply_m2(&mut tp)?;
+            }
+            if cfg.ddcg {
+                // Trial placement so DDCG groups can be formed spatially
+                // (each gated subtree must stay compact).
+                let trial = place_and_route(&tp, lib, &cfg.pnr)?;
+                // Zero-simulation candidate ranking from the static
+                // model, re-analyzed on the converted netlist; same
+                // Warn-style fallback to a measured profile.
+                let static_tp = (static_ok)
+                    .then(|| triphase_activity::analyze(&tp, &activity_opts).ok())
+                    .flatten()
+                    .filter(|m| {
+                        m.converged && m.correlation_rate() <= cfg.activity.max_correlation_rate
+                    });
+                let r = match &static_tp {
+                    Some(model) => apply_ddcg_static(
+                        &mut tp,
+                        model,
+                        cfg.ddcg_threshold,
+                        cfg.cg_max_fanout,
+                        Some(&trial.positions),
+                    )?,
+                    None => {
+                        let activity = drive(&tp, cfg.sim_cycles)?;
+                        crate::clockgate::apply_ddcg_placed(
                             &mut tp,
-                            model,
+                            &activity,
                             cfg.ddcg_threshold,
                             cfg.cg_max_fanout,
                             Some(&trial.positions),
-                        )?,
-                        None => {
-                            let activity = drive(&tp, cfg.sim_cycles)?;
-                            crate::clockgate::apply_ddcg_placed(
-                                &mut tp,
-                                &activity,
-                                cfg.ddcg_threshold,
-                                cfg.cg_max_fanout,
-                                Some(&trial.positions),
-                            )?
-                        }
-                    };
-                    cg.ddcg_groups = r.ddcg_groups;
-                    cg.ddcg_gated = r.ddcg_gated;
-                }
-                // Resumed stages did their solving in a previous process;
-                // only freshly spent ILP time is subtracted from this run's
-                // elapsed conversion time.
-                let ilp_in_elapsed = if ilp_fresh { ilp.seconds } else { 0.0 };
-                let secs = (t0.elapsed().as_secs_f64() - ilp_in_elapsed).max(0.0);
-                (tp.compact(), cg, secs)
+                        )?
+                    }
+                };
+                cg.ddcg_groups = r.ddcg_groups;
+                cg.ddcg_gated = r.ddcg_gated;
             }
-        },
+            // A replayed convert stage did its solving in an earlier run;
+            // only freshly spent ILP time is subtracted from this run's
+            // elapsed conversion time.
+            let ilp_in_elapsed = if ilp_fresh { ilp.seconds } else { 0.0 };
+            let secs = (t0.elapsed().as_secs_f64() - ilp_in_elapsed).max(0.0);
+            Ok(StageData::ClockGate(tp.compact(), cg, secs))
+        })?
+    else {
+        unreachable!("run_stage resolves the requested stage")
     };
-    if let (Some(o), Some(key)) = (observe.as_mut(), k_cg) {
-        o(StageObservation {
-            stage: Stage::ClockGate,
-            key,
-            hit: !cg_fresh,
-        });
-    }
-    if let Some(st) = &mut state {
-        st.stage = Stage::ClockGate;
-        st.clockgate = Some((tp.clone(), cg, convert_seconds));
-    }
-    if cg_fresh {
-        let entry = memo
-            .and(k_cg)
-            .map(|k| (k, StageData::ClockGate(tp.clone(), cg, convert_seconds)));
-        stage_mark(Stage::ClockGate, state.as_ref(), entry)?;
-    }
     lint_checkpoint(
         linter.as_ref(),
         cfg.lint,

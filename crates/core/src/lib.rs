@@ -56,7 +56,7 @@ mod retiming;
 
 pub use checkpoint::{
     fingerprint as flow_fingerprint, stage_data_from_text, stage_data_to_text, stage_key,
-    CheckpointCfg, IlpOutcome, Stage,
+    CheckpointDir, IlpOutcome, Stage,
 };
 pub use clockgate::{
     apply_ddcg, apply_ddcg_placed, apply_ddcg_static, apply_m2, gate_p2_common_enable, CgReport,

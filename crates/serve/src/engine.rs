@@ -6,9 +6,9 @@
 //!
 //! - **Cooperative cancellation** ([`CancelToken`]): the engine checks
 //!   the token at entry and at every stage boundary (the flow's
-//!   [`triphase_core::StageObservation`] hook). A fired token aborts the
-//!   job by unwinding a [`CancelUnwind`] payload, which the worker's
-//!   existing `catch_unwind` containment catches and maps to a typed
+//!   [`triphase_core::StageObservation`] hook, which fires after the
+//!   stage is recorded). A fired token stops the flow with the typed
+//!   [`triphase_core::Error::Cancelled`], which the worker maps to a
 //!   `cancelled` / `deadline_exceeded` done event naming the last stage
 //!   whose result was already banked in the memo store — a resubmission
 //!   resumes from exactly there. Stage boundaries are the natural grain:
@@ -16,16 +16,19 @@
 //!   aborting between stages never wastes banked work.
 //! - **Durable memoization** (`JournaledMemo`): when the server runs
 //!   with a journal, every stage record is appended (and fsync'd) to the
-//!   journal *before* it lands in the in-memory store — the same
-//!   artifact-before-fault-site ordering the checkpoint layer uses, so a
-//!   SIGKILL after stage N always finds N stages on disk.
+//!   journal *before* it lands in the in-memory store, and the flow
+//!   records a stage before firing its fault site, so a SIGKILL after
+//!   stage N always finds N stages on disk.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use triphase_cells::Library;
-use triphase_core::{run_flow_memo, FlowConfig, FlowReport, Stage, StageData, StageMemo};
+use triphase_core::{
+    run_flow_memo, Error, FlowConfig, FlowReport, Stage, StageData, StageMemo, StageObservation,
+};
 use triphase_netlist::Netlist;
 
 use crate::journal::Journal;
@@ -87,18 +90,6 @@ impl CancelToken {
     }
 }
 
-/// The unwind payload of a cancelled job. Thrown with
-/// [`std::panic::panic_any`] from the stage-boundary check; the worker's
-/// `catch_unwind` downcasts it back into a typed done event.
-pub struct CancelUnwind {
-    /// `"cancelled"` or `"deadline_exceeded"`.
-    pub reason: &'static str,
-    /// The last stage whose result was banked before the abort
-    /// (`"none"` if the job aborted before its first stage landed); a
-    /// resubmission replays the cache up to and including this stage.
-    pub last_banked: &'static str,
-}
-
 /// A [`StageMemo`] that makes every record durable before it is
 /// observable: append + fsync to the journal first, then the in-memory
 /// store. Lookups go straight to the store.
@@ -112,12 +103,12 @@ impl StageMemo for JournaledMemo<'_> {
         self.memo.lookup(stage, key)
     }
 
-    fn record(&self, stage: Stage, key: u64, data: &StageData) {
+    fn record(&self, stage: Stage, key: u64, data: &StageData) -> triphase_core::Result<()> {
         // A journal write failure downgrades durability, not
         // correctness: the job still completes, and the miss is only
         // that a post-crash restart would recompute this stage.
         let _ = self.journal.append_stage(key, data);
-        self.memo.record(stage, key, data);
+        self.memo.record(stage, key, data)
     }
 }
 
@@ -169,17 +160,17 @@ impl Engine {
     }
 
     /// Convert one design. The request's config is taken as-is except
-    /// that the fault and checkpoint hooks are forced from the engine —
-    /// the wire cannot reach them. `emit` receives cache provenance in
-    /// resolution order: the `"report"` tier first, then (on a report
-    /// miss) each flow stage as it resolves. A fired `token` aborts at
-    /// the next stage boundary by unwinding [`CancelUnwind`] (caught by
-    /// the worker's panic containment, never crossing the daemon).
+    /// that the fault hook is forced from the engine — the wire cannot
+    /// reach it. `emit` receives cache provenance in resolution order:
+    /// the `"report"` tier first, then (on a report miss) each flow stage
+    /// as it resolves. A fired `token` stops the job at entry or at the
+    /// next stage boundary.
     ///
     /// # Errors
     ///
-    /// Any flow error ([`triphase_core::Error`]); the caller maps it to
-    /// a typed `done` event via [`crate::proto::error_code`].
+    /// Any flow error ([`triphase_core::Error`]), including
+    /// [`Error::Cancelled`] for a fired `token`; the caller maps it to a
+    /// typed `done` event via [`crate::proto::error_code`].
     pub fn run(
         &self,
         nl: &Netlist,
@@ -189,15 +180,11 @@ impl Engine {
     ) -> triphase_core::Result<Arc<FlowReport>> {
         let mut cfg = cfg.clone();
         cfg.fault = self.fault.clone();
-        cfg.checkpoint = None;
-        let abort = |reason: &'static str, last_banked: &'static str| -> ! {
-            std::panic::panic_any(CancelUnwind {
-                reason,
-                last_banked,
-            })
-        };
         if let Some(reason) = token.and_then(CancelToken::check) {
-            abort(reason, "none");
+            return Err(Error::Cancelled {
+                reason,
+                last_banked: None,
+            });
         }
         let start = Instant::now();
         let evictions_before = |memo: &MemoStore| {
@@ -224,14 +211,13 @@ impl Engine {
             evictions: 0,
         });
         let mut last = Instant::now();
-        // The stage whose record is already banked when the *next*
-        // observation fires: observations precede their stage's memo
-        // record, so at observe(N) the banked prefix ends at N-1.
-        let mut banked: &'static str = "none";
         let memo = &self.memo;
-        let mut observe = |obs: triphase_core::StageObservation| {
+        // The observed stage is already banked. Checking the token before
+        // its event streams means a client that saw stage N's event knows
+        // the job passed N's boundary: a cancel sent then stops it later.
+        let mut observe = |obs: StageObservation| {
             if let Some(reason) = token.and_then(CancelToken::check) {
-                abort(reason, banked);
+                return ControlFlow::Break(reason);
             }
             let now_evictions = evictions_before(memo);
             emit(&StageProv {
@@ -243,7 +229,7 @@ impl Engine {
             });
             last_evictions = now_evictions;
             last = Instant::now();
-            banked = obs.stage.name();
+            ControlFlow::Continue(())
         };
         let report = match &self.journal {
             Some(journal) => {

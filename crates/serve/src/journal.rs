@@ -9,9 +9,9 @@
 //! - `stage` — one stage-cache entry, in the exact
 //!   [`triphase_core::stage_data_to_text`] encoding (written before the
 //!   in-memory memo record, which itself precedes the stage's
-//!   fault-injection site — the same ordering argument the checkpoint
-//!   layer makes: artifacts become durable before anything can kill the
-//!   job);
+//!   fault-injection site — the flow records every stage before its
+//!   fault site, so artifacts become durable before anything can kill
+//!   the job);
 //! - `done` — a job reached a terminal state (success, typed error,
 //!   cancellation) and must not be resumed.
 //!

@@ -2,15 +2,15 @@
 //! that runs the FF → 3-phase flow ([`triphase_core::run_flow`]) behind
 //! a length-framed JSON wire protocol, with an async job queue, a
 //! worker pool, and a two-tier memoization store keyed on the flow's
-//! checkpoint fingerprints.
+//! stage keys ([`triphase_core::stage_key`]) and whole-flow fingerprint.
 //!
 //! Why a daemon: the flow's dominant costs (P&R, simulation, the ILP)
 //! recur identically across ECO-style iterations on the same design.
 //! Holding the caches in a long-lived process turns a resubmitted
 //! netlist into a report-cache hit and an *edited* netlist into a
-//! partial replay — only stages at or after the first divergent
-//! checkpoint fingerprint re-run, with hit/miss provenance recorded per
-//! job in the response ([`engine::StageProv`]).
+//! partial replay — only stages at or after the first divergent stage
+//! key re-run, with hit/miss provenance recorded per job in the
+//! response ([`engine::StageProv`]).
 //!
 //! The wire format ([`frame`]) is a 4-byte big-endian length prefix
 //! followed by UTF-8 JSON ([`json`]); the schema ([`proto`]) follows
@@ -45,7 +45,7 @@ pub mod queue;
 pub mod server;
 
 pub use client::{Backoff, Client, ClientError};
-pub use engine::{CancelToken, CancelUnwind, Engine, StageProv};
+pub use engine::{CancelToken, Engine, StageProv};
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_DEFAULT};
 pub use journal::{AcceptRecord, Journal, Replay};
 pub use json::Json;

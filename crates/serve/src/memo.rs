@@ -248,12 +248,13 @@ impl StageMemo for MemoStore {
         self.lock().stages.get(key)
     }
 
-    fn record(&self, _stage: Stage, key: u64, data: &StageData) {
+    fn record(&self, _stage: Stage, key: u64, data: &StageData) -> triphase_core::Result<()> {
         let size = stage_data_bytes(data);
         let (capacity, budget) = (self.capacity, self.byte_budget);
         self.lock()
             .stages
             .put(key, data.clone(), size, capacity, budget);
+        Ok(())
     }
 }
 

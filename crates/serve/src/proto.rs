@@ -265,8 +265,8 @@ fn want_bool(v: &Json, key: &str) -> Result<bool, ProtoError> {
 /// Parse the request's flow-configuration object: [`FlowConfig`]
 /// defaults overridden by the given keys. Unknown keys are rejected
 /// (`bad_config`) so schema drift fails loudly instead of silently
-/// running with defaults. The fault-injection and checkpoint hooks are
-/// deliberately not reachable from the wire.
+/// running with defaults. The fault-injection hook is deliberately not
+/// reachable from the wire.
 ///
 /// # Errors
 ///
@@ -452,6 +452,7 @@ pub fn error_code(e: &Error) -> &'static str {
         Error::Dfa(_) => "dfa_denied",
         Error::Panic(_) => "panic",
         Error::Checkpoint(_) => "checkpoint",
+        Error::Cancelled { reason, .. } => reason,
     }
 }
 

@@ -15,11 +15,17 @@
 //! the job poppable. A journal failure releases the reservation and the
 //! job is shed — an acknowledged job is therefore always on disk.
 //!
+//! Every event the queue sends — a job's `queued` position at commit,
+//! and the position updates as the queue drains — goes out under the
+//! queue lock, so it always precedes the events a worker sends for a job
+//! it pops.
+//!
 //! Workers block in [`JobQueue::pop`] until a job arrives or the queue
-//! is stopped. [`JobQueue::stop`] is the *drain* mode (queued jobs still
-//! pop, new pushes refused); [`JobQueue::stop_discard`] is the *now*
-//! mode (queued jobs are handed back to the caller, which journals them
-//! as still-pending so a restart resumes them).
+//! is stopped. [`JobQueue::stop`] is the *drain* mode (new reservations
+//! refused; queued jobs and jobs already reserved — acknowledged — still
+//! run); [`JobQueue::stop_discard`] is the *now* mode (queued jobs, and
+//! reserved jobs at commit, are handed back to the caller, which leaves
+//! them journaled as still-pending so a restart resumes them).
 //!
 //! Every lock acquisition recovers from poisoning explicitly
 //! (`unwrap_or_else(into_inner)`): a worker panicking while holding the
@@ -97,7 +103,10 @@ struct State {
     reserved: usize,
     reserved_bytes: usize,
     queued_bytes: usize,
+    /// Set by both stop modes: no new reservations.
     stopped: bool,
+    /// Set by the now mode: reserved jobs are refused at commit too.
+    discarding: bool,
     /// EMA of per-job service time, feeding the retry hint.
     avg_job_ms: f64,
     jobs_timed: u64,
@@ -129,6 +138,7 @@ impl JobQueue {
                     reserved_bytes: 0,
                     queued_bytes: 0,
                     stopped: false,
+                    discarding: false,
                     avg_job_ms: 0.0,
                     jobs_timed: 0,
                 }),
@@ -192,25 +202,36 @@ impl JobQueue {
         let mut st = self.lock();
         st.reserved = st.reserved.saturating_sub(1);
         st.reserved_bytes = st.reserved_bytes.saturating_sub(est_bytes);
+        drop(st);
+        // A draining worker may be waiting out this reservation.
+        self.state.1.notify_all();
     }
 
-    /// Phase 2 of admission: enqueue a reserved job. Returns the number
-    /// of jobs ahead of it (0 = next to run). If the queue stopped
-    /// between reserve and commit, the job is returned so the caller can
-    /// fail it with a typed error.
-    #[allow(clippy::result_large_err)] // Err hands the whole job back for a typed failure
+    /// Phase 2 of admission: enqueue a reserved job and send it its
+    /// `queued` event. Returns the number of jobs ahead of it (0 = next
+    /// to run). A drain-mode stop still admits the job — it was
+    /// acknowledged; after a now-mode stop the job is handed back so the
+    /// caller can leave it pending.
+    #[allow(clippy::result_large_err)] // Err hands the whole job back to stay pending
     pub fn commit(&self, job: Job) -> Result<usize, Job> {
         let mut st = self.lock();
         st.reserved = st.reserved.saturating_sub(1);
         st.reserved_bytes = st.reserved_bytes.saturating_sub(job.est_bytes);
-        if st.stopped {
+        if st.discarding {
             return Err(job);
         }
         let position = st.jobs.len();
+        let _ = job.reply.send(crate::proto::queued_event(job.id, position));
         st.queued_bytes += job.est_bytes;
         st.jobs.push_back(job);
+        let draining = st.stopped;
         drop(st);
-        self.state.1.notify_one();
+        if draining {
+            // Idle draining workers exit once no reservation is left.
+            self.state.1.notify_all();
+        } else {
+            self.state.1.notify_one();
+        }
         Ok(position)
     }
 
@@ -229,27 +250,21 @@ impl JobQueue {
         true
     }
 
-    /// Block until a job is available; `None` once stopped and drained.
-    /// Remaining queued jobs get a fresh `queued` position event so
-    /// waiting clients watch themselves advance.
+    /// Block until a job is available; `None` once stopped and drained
+    /// (a drain also waits out outstanding reservations). Remaining
+    /// queued jobs get a fresh `queued` position event so waiting
+    /// clients watch themselves advance.
     pub fn pop(&self) -> Option<Job> {
         let mut st = self.lock();
         loop {
             if let Some(job) = st.jobs.pop_front() {
                 st.queued_bytes = st.queued_bytes.saturating_sub(job.est_bytes);
-                let updates: Vec<(Sender<String>, String)> = st
-                    .jobs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, j)| (j.reply.clone(), crate::proto::queued_event(j.id, i)))
-                    .collect();
-                drop(st);
-                for (tx, event) in updates {
-                    let _ = tx.send(event);
+                for (i, j) in st.jobs.iter().enumerate() {
+                    let _ = j.reply.send(crate::proto::queued_event(j.id, i));
                 }
                 return Some(job);
             }
-            if st.stopped {
+            if st.stopped && (st.discarding || st.reserved == 0) {
                 return None;
             }
             st = self.state.1.wait(st).unwrap_or_else(|e| e.into_inner());
@@ -288,21 +303,22 @@ impl JobQueue {
         self.lock().queued_bytes
     }
 
-    /// Stop in **drain** mode: queued jobs still pop, new admissions are
-    /// refused, and blocked workers wake with `None` once the FIFO
-    /// empties.
+    /// Stop in **drain** mode: new reservations are refused, queued and
+    /// already-reserved jobs still run, and blocked workers wake with
+    /// `None` once the FIFO is empty and no reservation is outstanding.
     pub fn stop(&self) {
         self.lock().stopped = true;
         self.state.1.notify_all();
     }
 
-    /// Stop in **now** mode: refuse new admissions and hand every
-    /// still-queued job back to the caller (which leaves them journaled
-    /// as pending, so the next daemon life resumes them). Running jobs
-    /// are unaffected.
+    /// Stop in **now** mode: refuse new admissions and commits, and hand
+    /// every still-queued job back to the caller (which leaves them
+    /// journaled as pending, so the next daemon life resumes them).
+    /// Running jobs are unaffected.
     pub fn stop_discard(&self) -> Vec<Job> {
         let mut st = self.lock();
         st.stopped = true;
+        st.discarding = true;
         st.queued_bytes = 0;
         let jobs = std::mem::take(&mut st.jobs).into();
         drop(st);
@@ -425,12 +441,37 @@ mod tests {
             assert!(q.reserve(1).is_ok());
             assert!(q.commit(j).is_ok());
         }
+        // Commit sends each job its starting position.
+        let e2 = rx2.try_recv().expect("job 2 queued at commit");
+        let e3 = rx3.try_recv().expect("job 3 queued at commit");
+        assert!(e2.contains("\"position\": 1"), "{e2}");
+        assert!(e3.contains("\"position\": 2"), "{e3}");
         let popped = q.pop().expect("job 1");
         assert_eq!(popped.id, 1);
         let e2 = rx2.try_recv().expect("job 2 got a position update");
         let e3 = rx3.try_recv().expect("job 3 got a position update");
         assert!(e2.contains("\"position\": 0"), "{e2}");
         assert!(e3.contains("\"position\": 1"), "{e3}");
+    }
+
+    #[test]
+    fn drain_runs_reserved_jobs_and_now_mode_hands_them_back() {
+        // A drain still runs the job acknowledged before it.
+        let q = JobQueue::new();
+        assert!(q.reserve(1).is_ok());
+        q.stop();
+        assert!(matches!(q.reserve(1), Err(AdmitError::Stopped)));
+        let (j, _rx) = job(7, 1);
+        assert_eq!(q.commit(j).ok(), Some(0));
+        assert_eq!(q.pop().map(|j| j.id), Some(7));
+        assert!(q.pop().is_none(), "drained");
+
+        let q = JobQueue::new();
+        assert!(q.reserve(1).is_ok());
+        assert!(q.stop_discard().is_empty());
+        let (j, _rx) = job(8, 1);
+        assert_eq!(q.commit(j).err().map(|j| j.id), Some(8));
+        assert!(q.pop().is_none());
     }
 
     #[test]

@@ -29,19 +29,19 @@
 //!   jobs are re-enqueued (bypassing admission: they were already
 //!   admitted in a previous life) and run to a journaled terminal state.
 //! - **Cancellation**: `cancel` removes a queued job outright or fires
-//!   the running job's [`CancelToken`]; the engine aborts at the next
-//!   stage boundary, keeping every banked stage.
-//! - **Drain**: `shutdown` defaults to drain mode (finish queued and
-//!   running jobs, then exit); `mode: "now"` re-journals queued jobs as
-//!   pending for the next daemon life and exits after running jobs
-//!   finish.
+//!   the running job's [`CancelToken`]; the engine stops at the next
+//!   stage boundary with a typed error, keeping every banked stage.
+//! - **Drain**: `shutdown` defaults to drain mode (finish queued,
+//!   running, and just-acknowledged jobs, then exit); `mode: "now"`
+//!   leaves queued jobs journaled as pending for the next daemon life
+//!   and exits after running jobs finish.
 //!
 //! Runner panics are contained per job: the panic is caught, reported
 //! as a typed `done` event (`code: "panic"`), and the runner moves on.
-//! Because memo-hit stages are recorded *before* a stage's fault site
-//! fires, a job killed mid-flow can be resubmitted and will replay the
-//! completed prefix from the stage cache, resuming from where it died —
-//! and with the journal, that replay survives a full daemon restart.
+//! Because a stage is recorded *before* its fault site fires, a job
+//! killed mid-flow can be resubmitted and will replay the completed
+//! prefix from the stage cache, resuming from where it died — and with
+//! the journal, that replay survives a full daemon restart.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use triphase_netlist::snapshot;
 
-use crate::engine::{CancelToken, CancelUnwind, Engine, StageProv};
+use crate::engine::{CancelToken, Engine, StageProv};
 use crate::frame::{read_frame, write_frame, FrameError, MAX_FRAME_DEFAULT};
 use crate::journal::{AcceptRecord, Journal};
 use crate::json::Json;
@@ -389,9 +389,10 @@ fn admit(ctx: &Arc<Ctx>, id: u64, j: &proto::JobRequest) -> Admitted {
     Admitted::Reserved
 }
 
-/// The post-ack half: commit the reserved job to the queue.
-fn commit(ctx: &Arc<Ctx>, id: u64, j: proto::JobRequest, tx: &Sender<String>) -> Option<usize> {
-    match ctx.queue.commit(Job {
+/// The post-ack half: commit the reserved job to the queue, which sends
+/// its `queued` event. Only a now-mode shutdown refuses it.
+fn commit(ctx: &Arc<Ctx>, id: u64, j: proto::JobRequest, tx: &Sender<String>) {
+    let job = Job {
         id,
         name: j.name,
         netlist: j.netlist,
@@ -400,14 +401,25 @@ fn commit(ctx: &Arc<Ctx>, id: u64, j: proto::JobRequest, tx: &Sender<String>) ->
         est_bytes: j.est_bytes,
         deadline_ms: j.deadline_ms,
         reply: tx.clone(),
-    }) {
-        Ok(position) => Some(position),
-        Err(_) => {
-            ctx.tokens().remove(&id);
-            ctx.journal_done(id, "shutdown");
-            None
-        }
+    };
+    if let Err(job) = ctx.queue.commit(job) {
+        park(ctx, &job);
     }
+}
+
+/// Answer an acknowledged job that a now-mode shutdown leaves unrun. It
+/// stays journaled as pending, so the next daemon life resumes it.
+fn park(ctx: &Ctx, job: &Job) {
+    ctx.tokens().remove(&job.id);
+    send_json(
+        &job.reply,
+        &proto::done_err(
+            job.id,
+            &job.name,
+            "shutdown",
+            "server stopping; job stays journaled and resumes on restart",
+        ),
+    );
 }
 
 fn reader_loop(mut stream: TcpStream, ctx: &Arc<Ctx>, tx: &Sender<String>) {
@@ -454,18 +466,7 @@ fn reader_loop(mut stream: TcpStream, ctx: &Arc<Ctx>, tx: &Sender<String>) {
                 send_json(tx, &proto::ack_event(&ids));
                 for ((id, j), outcome) in ids.iter().zip(jobs).zip(outcomes) {
                     match outcome {
-                        Admitted::Reserved => {
-                            let name = j.name.clone();
-                            match commit(ctx, *id, j, tx) {
-                                Some(position) => {
-                                    let _ = tx.send(proto::queued_event(*id, position));
-                                }
-                                None => send_json(
-                                    tx,
-                                    &proto::done_err(*id, &name, "shutdown", "server is stopping"),
-                                ),
-                            }
-                        }
+                        Admitted::Reserved => commit(ctx, *id, j, tx),
                         Admitted::Shed {
                             queued,
                             retry_after_ms,
@@ -526,19 +527,8 @@ fn reader_loop(mut stream: TcpStream, ctx: &Arc<Ctx>, tx: &Sender<String>) {
                 if drain {
                     ctx.queue.stop();
                 } else {
-                    // Queued jobs stay journaled as pending: the next
-                    // daemon life resumes them. Tell their submitters.
                     for job in ctx.queue.stop_discard() {
-                        ctx.tokens().remove(&job.id);
-                        send_json(
-                            &job.reply,
-                            &proto::done_err(
-                                job.id,
-                                &job.name,
-                                "shutdown",
-                                "server stopping; job stays journaled and resumes on restart",
-                            ),
-                        );
+                        park(ctx, &job);
                     }
                 }
                 return;
@@ -587,28 +577,14 @@ fn run_job(ctx: &Arc<Ctx>, job: &Job) {
                 code,
             )
         }
-        Err(payload) => match payload.downcast_ref::<CancelUnwind>() {
-            Some(c) => (
-                proto::done_err(
-                    job.id,
-                    &job.name,
-                    c.reason,
-                    &format!(
-                        "aborted at a stage boundary; last banked stage: {}",
-                        c.last_banked
-                    ),
-                ),
-                c.reason,
-            ),
-            None => {
-                let msg = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                    .unwrap_or_else(|| "worker panicked".into());
-                (proto::done_err(job.id, &job.name, "panic", &msg), "panic")
-            }
-        },
+        Err(payload) => {
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_else(|| "worker panicked".into());
+            (proto::done_err(job.id, &job.name, "panic", &msg), "panic")
+        }
     };
     ctx.tokens().remove(&job.id);
     ctx.journal_done(job.id, code);

@@ -4,9 +4,13 @@
 //! stage named, kills queued and running jobs on `cancel`, and keeps
 //! serving after a contained worker panic.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
+
 use triphase_circuits::pipeline::linear_pipeline;
 use triphase_core::FlowConfig;
-use triphase_fault::{Fault, FaultPlan};
+use triphase_fault::{Fault, FaultPlan, Injector};
 use triphase_netlist::{snapshot, Netlist};
 use triphase_serve::{Client, Json, Server, ServerOptions};
 
@@ -45,14 +49,46 @@ fn submit_with(name: &str, nl: &Netlist, cfg: &FlowConfig, deadline_ms: Option<u
     req
 }
 
-fn recv_done_for(client: &mut Client, id: u64) -> Json {
-    loop {
+/// The `done` events of `ids`, in `ids` order, whatever order they
+/// arrive in.
+fn recv_dones(client: &mut Client, ids: &[u64]) -> Vec<Json> {
+    let mut dones = HashMap::new();
+    while ids.iter().any(|id| !dones.contains_key(id)) {
         let ev = client.recv().expect("event");
-        if ev.get("event").and_then(Json::as_str) == Some("done")
-            && ev.get("job").and_then(Json::as_f64) == Some(id as f64)
-        {
-            return ev;
+        if ev.get("event").and_then(Json::as_str) == Some("done") {
+            let job = ev.get("job").and_then(Json::as_f64).expect("job id");
+            dones.insert(job as u64, ev);
         }
+    }
+    ids.iter().filter_map(|id| dones.remove(id)).collect()
+}
+
+/// An injector that holds every flow at the preprocess stage's fault
+/// site until the test opens it, so "the job is running" is a state the
+/// test controls rather than a race against the flow.
+#[derive(Debug, Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().expect("gate lock") = true;
+        self.opened.notify_all();
+    }
+}
+
+impl Injector for Gate {
+    fn fault_at(&self, site: &str) -> Option<Fault> {
+        if site == "flow.stage.preprocess" {
+            let open = self.open.lock().expect("gate lock");
+            // Bounded, so a failed test cannot wedge its server forever.
+            let _ = self
+                .opened
+                .wait_timeout_while(open, Duration::from_secs(60), |open| !*open);
+        }
+        None
     }
 }
 
@@ -178,12 +214,19 @@ fn expired_deadline_is_a_typed_error_naming_the_banked_prefix() {
 
 #[test]
 fn cancel_kills_queued_jobs_and_running_jobs_at_stage_boundaries() {
-    let server = tiny_server(8);
+    // The running job is held just after banking its first stage until
+    // both cancels have been answered, so neither cancel races the flow.
+    let gate = Arc::new(Gate::default());
+    let server = Server::start(ServerOptions {
+        workers: 1,
+        queue_depth: 8,
+        fault: Some(gate.clone()),
+        ..ServerOptions::default()
+    })
+    .expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
     let cfg = quick_cfg();
-    // Big enough that its stage pipeline (ILP, retiming) runs long past
-    // the cancel round-trip below.
-    let big = linear_pipeline(10, 10, 1, 900.0);
+    let big = linear_pipeline(3, 4, 1, 900.0);
     let small = linear_pipeline(2, 3, 1, 900.0);
 
     client
@@ -195,10 +238,12 @@ fn cancel_kills_queued_jobs_and_running_jobs_at_stage_boundaries() {
         .expect("submit small");
 
     // Cancel the queued job: its done is typed `cancelled`, and the
-    // canceller hears which state the cancel hit.
+    // canceller hears which state the cancel hit. The two dones may
+    // arrive in either order.
     let mut small_id = None;
-    let mut cancel_sent = false;
+    let mut dones = 0;
     let mut saw_cancelled_queued = false;
+    let mut saw_cancelled_running = false;
     let mut big_started = false;
     loop {
         let ev = client.recv().expect("event");
@@ -209,7 +254,6 @@ fn cancel_kills_queued_jobs_and_running_jobs_at_stage_boundaries() {
                 req.set("kind", Json::Str("cancel".into()));
                 req.set("job", Json::Num(acked_ids(&ev)[0] as f64));
                 client.send(&req).expect("cancel queued");
-                cancel_sent = true;
             }
             Some("cancelled") => {
                 let job = ev.get("job").and_then(Json::as_f64).map(|f| f as u64);
@@ -220,12 +264,19 @@ fn cancel_kills_queued_jobs_and_running_jobs_at_stage_boundaries() {
                 } else {
                     assert_eq!(job, Some(big_id));
                     assert_eq!(state, Some("running"), "{}", ev.to_pretty());
+                    saw_cancelled_running = true;
+                }
+                if saw_cancelled_queued && saw_cancelled_running {
+                    gate.open();
                 }
             }
             Some("stage")
-                if !big_started && ev.get("job").and_then(Json::as_f64) == Some(big_id as f64) =>
+                if !big_started
+                    && ev.get("job").and_then(Json::as_f64) == Some(big_id as f64)
+                    && ev.get("stage").and_then(Json::as_str) == Some("preprocess") =>
             {
-                // The big job is provably on a worker: cancel it too.
+                // The big job banked preprocess and passed its cancel
+                // check; it now waits at the gate: cancel it too.
                 big_started = true;
                 let mut req = Json::obj();
                 req.set("kind", Json::Str("cancel".into()));
@@ -235,7 +286,7 @@ fn cancel_kills_queued_jobs_and_running_jobs_at_stage_boundaries() {
             Some("done") => {
                 let job = ev.get("job").and_then(Json::as_f64).map(|f| f as u64);
                 if job == small_id {
-                    assert!(cancel_sent);
+                    dones += 1;
                     assert_eq!(
                         ev.get("code").and_then(Json::as_str),
                         Some("cancelled"),
@@ -243,18 +294,23 @@ fn cancel_kills_queued_jobs_and_running_jobs_at_stage_boundaries() {
                         ev.to_pretty()
                     );
                 } else if job == Some(big_id) {
+                    dones += 1;
                     assert_eq!(
                         ev.get("code").and_then(Json::as_str),
                         Some("cancelled"),
                         "{}",
                         ev.to_pretty()
                     );
+                    // The cancel landed at the first boundary after the
+                    // gate: convert was recorded, then observed.
                     let msg = ev.get("message").and_then(Json::as_str).expect("msg");
-                    assert!(msg.contains("last banked stage"), "{msg}");
-                    break;
+                    assert!(msg.contains("last banked stage: convert"), "{msg}");
                 }
             }
             _ => {}
+        }
+        if dones == 2 {
+            break;
         }
     }
     assert!(saw_cancelled_queued);
@@ -339,8 +395,7 @@ fn drain_shutdown_finishes_queued_work_before_stopping() {
     assert_eq!(bye.get("event").and_then(Json::as_str), Some("bye"));
     assert_eq!(bye.get("mode").and_then(Json::as_str), Some("drain"));
 
-    for &id in &ids {
-        let done = recv_done_for(&mut client, id);
+    for done in recv_dones(&mut client, &ids) {
         assert_eq!(
             done.get("ok"),
             Some(&Json::Bool(true)),

@@ -25,6 +25,7 @@ const FORBIDDEN: &[&str] = &[
     "panic!(",
     "unimplemented!(",
     "todo!(",
+    "panic_any(",
 ];
 
 /// Strip `#[cfg(test)] mod … { … }` blocks (panics in tests are fine).
