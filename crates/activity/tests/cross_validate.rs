@@ -1,10 +1,12 @@
-//! Cross-validation against the packed simulator on a correlation-free
-//! chain circuit, where the independence assumption is exact: static
-//! density must equal the measured toggle rate *exactly* (same f64).
+//! Cross-validation against the simulator on a correlation-free chain
+//! circuit, where the independence assumption is exact: static density
+//! must equal the measured toggle rate *exactly* (same f64). The
+//! simulator runs 64 lanes (one machine word) of `cycles / 64` cycles
+//! each.
 
 use triphase_activity::{analyze, AnalysisOptions};
 use triphase_netlist::{CellKind, ClockSpec, Netlist};
-use triphase_sim::collect_activity_packed;
+use triphase_sim::{run_random_compiled, Activity, LANES};
 
 /// PI → buffer chain (plus a side register so the clocked simulator is
 /// happy). Every chain net carries exactly the PI's transitions — an
@@ -30,11 +32,19 @@ fn chain(len: usize) -> (Netlist, Vec<triphase_netlist::NetId>) {
     (nl, nets)
 }
 
+/// `cycles` total cycles of random stimulus over [`LANES`] lanes.
+fn measure(nl: &Netlist, seed: u64, cycles: u64) -> Activity {
+    let per_lane = cycles / LANES as u64;
+    run_random_compiled(nl, seed, per_lane, LANES)
+        .unwrap()
+        .activity()
+}
+
 #[test]
 fn static_density_equals_measured_rate_exactly_on_a_chain() {
     let (nl, nets) = chain(12);
     let cycles: u64 = 1024; // dyadic, so toggles/cycles is exact in f64
-    let activity = collect_activity_packed(&nl, 7, cycles).unwrap();
+    let activity = measure(&nl, 7, cycles);
     let a = nets[0];
     let measured_pi = activity.net_toggles[a.index()] as f64 / activity.cycles as f64;
     assert!(measured_pi > 0.0, "stimulus must toggle the input");
@@ -64,7 +74,7 @@ fn registered_chain_matches_within_one_boundary_toggle() {
     // counts may differ by the window boundary — but no more.
     let (nl, _) = chain(4);
     let cycles: u64 = 2048;
-    let activity = collect_activity_packed(&nl, 11, cycles).unwrap();
+    let activity = measure(&nl, 11, cycles);
     let a = nl.find_port("a").map(|p| nl.port(p).net).unwrap();
     let q = nl.find_port("q").map(|p| nl.port(p).net).unwrap();
     let measured_pi = activity.net_toggles[a.index()] as f64 / activity.cycles as f64;
@@ -74,7 +84,7 @@ fn registered_chain_matches_within_one_boundary_toggle() {
     };
     let model = analyze(&nl, &opts).unwrap();
     let measured_q = activity.net_toggles[q.index()] as f64 / activity.cycles as f64;
-    let lanes_slack = 64.0 / cycles as f64; // one boundary toggle per packed lane
+    let lanes_slack = LANES as f64 / cycles as f64; // one boundary toggle per lane
     assert!(
         (model.net(q).density - measured_q).abs() <= lanes_slack,
         "static {} vs measured {}",

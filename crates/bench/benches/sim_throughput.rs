@@ -1,6 +1,6 @@
 //! Gate-level simulation throughput (cycles/second) on an ISCAS-class
 //! circuit, FF-based vs converted 3-phase (three clock events per cycle),
-//! scalar interpreter vs the 64-lane packed kernel.
+//! scalar interpreter vs the compiled VM at 64 lanes (one machine word).
 //!
 //! Besides the human summary lines, the measurements are merged into the
 //! `sim_throughput` section of `results/BENCH_sim.json`.
@@ -11,7 +11,7 @@ use triphase_bench::perf::{measurement_json, merge_section};
 use triphase_circuits::iscas::{generate_iscas, iscas_profiles};
 use triphase_core::{assign_phases, extract_ff_graph, gated_clock_style, to_three_phase};
 use triphase_ilp::PhaseConfig;
-use triphase_sim::{run_random, run_random_packed, LANES};
+use triphase_sim::{run_random, run_random_compiled, LANES};
 
 fn main() {
     let profile = iscas_profiles()
@@ -35,31 +35,31 @@ fn main() {
         let scalar = time_throughput(label, n_samples, CYCLES, || {
             run_random(nl, 1, CYCLES).unwrap().cycles()
         });
-        let packed = time_throughput(
-            &format!("{label} packed x{LANES}"),
+        let compiled = time_throughput(
+            &format!("{label} compiled x{LANES}"),
             n_samples,
             CYCLES * LANES as u64,
             || {
-                run_random_packed(nl, 1, CYCLES, LANES)
+                run_random_compiled(nl, 1, CYCLES, LANES)
                     .unwrap()
                     .activity()
                     .cycles
             },
         );
-        measured.push((scalar, packed));
+        measured.push((scalar, compiled));
     }
 
     let mut rows = Vec::new();
-    for (scalar, packed) in &measured {
-        let speedup = if packed.ns_per_element() > 0.0 {
-            scalar.ns_per_element() / packed.ns_per_element()
+    for (scalar, compiled) in &measured {
+        let speedup = if compiled.ns_per_element() > 0.0 {
+            scalar.ns_per_element() / compiled.ns_per_element()
         } else {
             0.0
         };
         let mut rec = Json::obj();
         rec.set("name", scalar.name.as_str().into());
         rec.set("scalar", measurement_json(scalar));
-        rec.set("packed", measurement_json(packed));
+        rec.set("compiled", measurement_json(compiled));
         rec.set("speedup", speedup.into());
         rows.push(rec);
     }

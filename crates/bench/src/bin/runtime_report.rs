@@ -64,7 +64,7 @@ fn main() {
     println!("Max ILP solve time across the suite:    {max_ilp:.3} s");
 
     // Machine-readable mirror of the table above, merged into the shared
-    // perf report next to the packed-kernel sections from `sim_perf`.
+    // perf report next to the compiled-VM sections from `sim_perf`.
     let mut benchmarks = Vec::new();
     for (b, r) in &rows {
         let mut rec = Json::obj();

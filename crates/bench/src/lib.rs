@@ -218,7 +218,7 @@ pub enum Stimulus {
     Cpu(Workload),
 }
 
-/// One packed vector of fresh random bits, one per lane stream.
+/// One vector of fresh random bits, one per lane stream.
 fn draw(streams: &mut [Stream]) -> Lanes<1> {
     let mut bits = 0u64;
     for (l, s) in streams.iter_mut().enumerate() {
@@ -230,10 +230,10 @@ fn draw(streams: &mut [Stream]) -> Lanes<1> {
 /// Drive a benchmark netlist with a stimulus style and return its
 /// activity profile.
 ///
-/// Runs on the compiled bytecode kernel (a certified bit-exact twin of
-/// the packed one, so toggle counts are unchanged from the packed era):
-/// the requested `cycles` are split across up to 64 independent stimulus
-/// lanes (lane 0 replays the historical scalar stream for `seed`).
+/// Runs on the compiled bytecode kernel (each lane a certified bit-exact
+/// twin of the scalar run with that lane's seed): the requested `cycles`
+/// are split across up to [`LANES`] independent stimulus lanes (lane 0
+/// replays the historical scalar stream for `seed`).
 /// Stimuli with temporal structure
 /// ([`Stimulus::SelfCheck`]) keep at least one full burst interval per
 /// lane so the compute/idle activity shape is preserved; purely random
@@ -308,8 +308,9 @@ pub fn profile_stimulus(
 
 /// Shared compiled-kernel stimulus loop behind [`drive_stimulus`] and
 /// [`profile_stimulus`]; `observe` runs after every stepped cycle. Lane
-/// counts keep the packed-era ≤64 formulas so activity certification
-/// thresholds (and every recorded toggle count) are bit-for-bit stable.
+/// counts stay at most [`LANES`] (one machine word) so activity
+/// certification thresholds (and every recorded toggle count) are
+/// bit-for-bit stable.
 fn run_stimulus(
     nl: &Netlist,
     cycles: u64,

@@ -107,7 +107,7 @@ mod tests {
     #[test]
     fn measurement_json_mirrors_derived_figures() {
         let m = Measurement {
-            name: "packed".into(),
+            name: "compiled".into(),
             median_secs: 0.5,
             best_secs: 0.4,
             samples: 5,

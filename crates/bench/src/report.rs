@@ -18,7 +18,7 @@ use crate::perf;
 /// as a `schema_version` field into every top-level object section (via
 /// [`section`]) so downstream consumers of `results/BENCH_*.json` can
 /// detect format drift. Bump when any binary changes a section's shape.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// A fresh section object pre-stamped with [`SCHEMA_VERSION`]. The
 /// campaign binaries build their top-level sections from this instead

@@ -17,8 +17,8 @@
 
 use crate::error::{Error, Result};
 use crate::ffgraph::Assignment;
-use std::collections::HashMap;
-use triphase_netlist::{graph, CellId, CellKind, ClockSpec, Netlist, PortDir};
+use std::collections::{BTreeMap, HashMap};
+use triphase_netlist::{graph, CellId, CellKind, ClockSpec, Netlist, PortDir, PortId};
 
 /// Statistics of a 3-phase conversion.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,8 +65,9 @@ pub fn to_three_phase(nl: &Netlist, assignment: &Assignment) -> Result<(Netlist,
     let (_, p3n) = out.add_input("p3");
 
     let mut report = ConvertReport::default();
-    // ICG -> (list of gated FFs by phase).
-    let mut icg_groups: HashMap<CellId, (Vec<CellId>, Vec<CellId>)> = HashMap::new();
+    // ICG -> (list of gated FFs by phase), in cell order so the
+    // duplicated ICGs are numbered and placed the same on every run.
+    let mut icg_groups: BTreeMap<CellId, (Vec<CellId>, Vec<CellId>)> = BTreeMap::new();
 
     // 1. Replace FFs with latches.
     let ffs: Vec<CellId> = nl
@@ -174,12 +175,16 @@ pub fn to_three_phase(nl: &Netlist, assignment: &Assignment) -> Result<(Netlist,
         p2_counter += 1;
     }
 
-    // 4. Insert p2 latches on flagged primary inputs, moving their
-    // combinational loads to the latched copy.
-    for (&port, &needs) in &assignment.pi_g {
-        if !needs {
-            continue;
-        }
+    // 4. Insert p2 latches on flagged primary inputs (in port order),
+    // moving their combinational loads to the latched copy.
+    let mut flagged: Vec<PortId> = assignment
+        .pi_g
+        .iter()
+        .filter(|&(_, &needs)| needs)
+        .map(|(&port, _)| port)
+        .collect();
+    flagged.sort();
+    for port in flagged {
         let n = nl.port(port).net;
         let n2 = out.add_net(format!("pi_lat{}", report.pi_latches));
         out.add_cell(

@@ -21,7 +21,7 @@ use triphase_lint::{LintStage, Linter};
 use triphase_netlist::{Netlist, NetlistStats};
 use triphase_pnr::{place_and_route, Layout, PnrOptions};
 use triphase_power::{estimate_power, PowerReport};
-use triphase_sim::{collect_activity_packed, equiv_stream_warmup, Activity};
+use triphase_sim::{equiv_stream_warmup, Activity};
 use triphase_timing::analyze_smo;
 
 /// Stimulus provider: produces a switching-activity profile for a design
@@ -128,16 +128,14 @@ impl Default for ActivityCfg {
 
 /// Which simulation kernel gathers switching activity in [`run_flow`].
 ///
-/// All three are certified bit-exact against each other (values and
-/// toggle counts), so the choice only affects throughput: the compiled
-/// bytecode VM simulates up to 512 stimulus streams per pass, packed 64,
-/// scalar 1.
+/// The compiled bytecode VM is certified bit-exact against the scalar
+/// reference stream for stream (values and toggle counts). It splits the
+/// cycles across up to 512 stimulus streams per pass; scalar runs them as
+/// one stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimBackend {
     /// Reference scalar simulator (one stream).
     Scalar,
-    /// 64-lane bit-parallel kernel.
-    Packed,
     /// Fused bytecode VM, up to 512 lanes (default).
     #[default]
     Compiled,
@@ -148,13 +146,12 @@ impl SimBackend {
     pub fn label(self) -> &'static str {
         match self {
             SimBackend::Scalar => "scalar",
-            SimBackend::Packed => "packed",
             SimBackend::Compiled => "compiled",
         }
     }
 
     /// Collect `cycles` total cycles of pseudo-random activity with this
-    /// backend (multi-lane kernels split them across stimulus streams).
+    /// backend (the compiled VM splits them across stimulus streams).
     ///
     /// # Errors
     ///
@@ -164,7 +161,6 @@ impl SimBackend {
             SimBackend::Scalar => {
                 triphase_sim::run_random(nl, seed, cycles).map(|s| s.activity().clone())
             }
-            SimBackend::Packed => collect_activity_packed(nl, seed, cycles),
             SimBackend::Compiled => triphase_sim::collect_activity_compiled(nl, seed, cycles),
         }
     }
@@ -434,8 +430,9 @@ impl FlowReport {
 /// [`FlowConfig::sim_backend`] (default: the compiled bytecode VM,
 /// `sim_cycles` total cycles split across up to 512 independent stimulus
 /// lanes, of which lane 0 replays the historical single-stream sequence
-/// for `seed`). All backends are toggle-exact twins, so the report's
-/// power numbers are independent of the choice.
+/// for `seed`). Each compiled lane is a toggle-exact twin of the scalar
+/// run with that lane's seed; scalar runs all `sim_cycles` as one
+/// stream, so the two backends sample different stimulus.
 ///
 /// # Errors
 ///

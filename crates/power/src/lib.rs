@@ -150,7 +150,7 @@ enum Group {
 /// differs.
 #[derive(Debug, Clone, Copy)]
 pub enum ActivitySource<'a> {
-    /// Toggle counts from a (packed) simulation.
+    /// Toggle counts from a simulation.
     Measured(&'a Activity),
     /// Static per-net transition densities (toggles/cycle).
     Static(&'a [f64]),

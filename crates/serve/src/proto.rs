@@ -300,12 +300,11 @@ pub fn parse_config(obj: &Json) -> Result<FlowConfig, ProtoError> {
             "sim_backend" => {
                 cfg.sim_backend = match v.as_str() {
                     Some("scalar") => SimBackend::Scalar,
-                    Some("packed") => SimBackend::Packed,
                     Some("compiled") => SimBackend::Compiled,
                     _ => {
                         return Err(ProtoError::new(
                             "bad_config",
-                            "`sim_backend` must be scalar|packed|compiled",
+                            "`sim_backend` must be scalar|compiled",
                         ))
                     }
                 }
@@ -829,7 +828,7 @@ mod tests {
             lint: LintPolicy::Deny,
             equiv: EquivPolicy::Warn,
             dfa: DfaPolicy::Off,
-            sim_backend: SimBackend::Packed,
+            sim_backend: SimBackend::Scalar,
             ..FlowConfig::default()
         };
         cfg.pnr.moves_per_cell = 3;
@@ -844,7 +843,7 @@ mod tests {
         assert_eq!(back.equiv, EquivPolicy::Warn);
         assert_eq!(back.dfa, DfaPolicy::Off);
         assert_eq!(back.equiv_cycles, 128);
-        assert_eq!(back.sim_backend, SimBackend::Packed);
+        assert_eq!(back.sim_backend, SimBackend::Scalar);
     }
 
     #[test]

@@ -177,3 +177,56 @@ fn acknowledged_pending_job_is_resumed_and_finished_after_restart() {
     server.stop();
     server.wait();
 }
+
+/// A journal can hold an acknowledged job whose config names a backend
+/// this daemon no longer has (`"packed"`, accepted by earlier daemons).
+/// On restart the job cannot be rebuilt: it is journaled as done with
+/// `bad_config` (so no later restart retries it), it is not counted as
+/// resumed, and the daemon keeps serving.
+#[test]
+fn journaled_job_naming_a_retired_backend_is_closed_as_bad_config() {
+    let dir = journal_dir("retired_backend");
+    let path = dir.join("jobs.journal");
+    let design = linear_pipeline(2, 3, 1, 900.0);
+    let cfg = quick_cfg();
+    let mut config = proto::config_json(&cfg);
+    config.set("sim_backend", Json::Str("packed".into()));
+    {
+        let j = Journal::open(&path).expect("open journal");
+        j.append_accept(&AcceptRecord {
+            id: 7,
+            name: "retired".into(),
+            netlist_text: snapshot::to_text(&design),
+            config,
+            return_netlist: false,
+            deadline_ms: None,
+        })
+        .expect("journal accept");
+    }
+
+    let server = Server::start(opts(path.clone())).expect("bind");
+    assert_eq!(
+        server.resumed_jobs(),
+        0,
+        "an unparsable config is not resumed"
+    );
+    let text = std::fs::read_to_string(&path).expect("read journal");
+    assert!(
+        text.contains("job 7\nstatus bad_config\n"),
+        "job 7 closed as bad_config:\n{text}"
+    );
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let (_, done) = client
+        .convert("later", &design, &cfg)
+        .expect("later submit");
+    assert_eq!(
+        done.get("ok"),
+        Some(&Json::Bool(true)),
+        "{}",
+        done.to_pretty()
+    );
+    server.stop();
+    server.wait();
+    let (_, replay) = Journal::open_replay(&path).expect("replay");
+    assert!(replay.pending.is_empty(), "nothing left to resume");
+}

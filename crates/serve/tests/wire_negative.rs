@@ -86,6 +86,14 @@ fn malformed_request_corpus_returns_typed_errors_and_keeps_serving() {
             ),
             "bad_config",
         ),
+        // A retired backend is an unknown value like any other.
+        (
+            format!(
+                "{{\"kind\": \"submit\", \"jobs\": [{{\"netlist\": \"{empty}\", \
+                 \"config\": {{\"sim_backend\": \"packed\"}}}}]}}"
+            ),
+            "bad_config",
+        ),
     ];
     for (payload, code) in corpus
         .iter()

@@ -1,13 +1,20 @@
 //! Multi-word lane arithmetic for the compiled backend.
 //!
-//! [`Lanes<W>`] generalizes the packed kernel's one-`u64`-pair two-plane
-//! encoding to `W` machine words per plane, so one value carries
-//! `64 * W` independent 3-valued stimulus streams. The plane formulas
-//! are word-wise copies of [`PackedLogic`](crate::PackedLogic)'s —
-//! every method below is the `W`-word fold of the corresponding packed
-//! method, which is what makes the compiled backend's lane `l`
-//! trajectory equal the packed kernel's lane `l % 64` of word `l / 64`
-//! (and hence the scalar simulator's) for the same stimulus.
+//! [`Lanes<W>`] holds `64 * W` independent 3-valued stimulus streams in
+//! a **two-plane** encoding of `W` machine words per plane:
+//!
+//! | value | `hi` bit | `lo` bit |
+//! |-------|----------|----------|
+//! | 0     | 0        | 1        |
+//! | 1     | 1        | 0        |
+//! | X     | 1        | 1        |
+//!
+//! (`hi=lo=0` never occurs.) A lane is *known* iff `hi ^ lo`. NOT swaps
+//! the planes; AND/OR/XOR/MUX reduce to plane formulas, each equal to
+//! [`Logic`](crate::Logic)'s 3-valued tables in every lane (the
+//! exhaustive cross-check in this module's tests), which is what lets
+//! the compiled backend's lane `l` follow the scalar simulator's
+//! trajectory for the same stimulus.
 //!
 //! All hot methods are `#[inline]` loops over fixed-size arrays: the
 //! compiler unrolls and auto-vectorizes them, which is where the
@@ -96,7 +103,7 @@ impl<const W: usize> Mask<W> {
 
 /// `64 * W` lanes of 3-valued logic in two `W`-word bit-planes: a lane's
 /// value is 0 for `(hi, lo) = (0, 1)`, 1 for `(1, 0)`, X for `(1, 1)`
-/// (`(0, 0)` never occurs) — the packed kernel's encoding, widened.
+/// (`(0, 0)` never occurs; see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Lanes<const W: usize> {
     /// Plane set for 1 and X.
@@ -265,7 +272,7 @@ impl<const W: usize> Lanes<W> {
     }
 
     /// Lane-wise 2:1 mux with `self` as select (0 → `d0`, 1 → `d1`,
-    /// X → `d0` if it equals `d1`, else X) — the packed `Mux2` formula.
+    /// X → `d0` if it equals `d1`, else X) — the scalar `Mux2` table.
     #[inline]
     #[must_use]
     pub fn mux(self, d0: Lanes<W>, d1: Lanes<W>) -> Lanes<W> {
@@ -290,8 +297,8 @@ impl<const W: usize> Lanes<W> {
     }
 
     /// Number of active lanes (within `mask`) where `self` and `new`
-    /// both hold known values that differ — the packed kernel's toggle
-    /// rule, summed over words.
+    /// both hold known values that differ — the scalar simulator's
+    /// toggle rule, summed over words.
     #[inline]
     pub fn toggles_to(self, new: Lanes<W>, mask: Mask<W>) -> u64 {
         let mut n = 0u64;
@@ -351,6 +358,8 @@ mod tests {
                     assert_eq!(lane0::<W>(a).and(lane0(b)).get(0), a.and(b));
                     assert_eq!(lane0::<W>(a).or(lane0(b)).get(0), a.or(b));
                     assert_eq!(lane0::<W>(a).xor(lane0(b)).get(0), a.xor(b));
+                    let eq = lane0::<W>(a).eq_lanes(lane0(b)).0[0] & 1;
+                    assert_eq!(eq == 1, a == b, "{a} eq {b} (X == X)");
                     for s in ALL {
                         let want = crate::eval_kind(triphase_cells::CellKind::Mux2, &[a, b, s]);
                         assert_eq!(lane0::<W>(s).mux(lane0(a), lane0(b)).get(0), want);
@@ -383,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn toggle_counting_matches_packed_rule() {
+    fn toggle_counting_matches_scalar_rule() {
         // 0 -> 1 toggles; 0 -> X, X -> 1, X -> X do not.
         let old = Lanes::<1>::from_bits([0]);
         let new = Lanes::<1>::ONE;

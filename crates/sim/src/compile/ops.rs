@@ -131,7 +131,7 @@ pub(crate) mod desc {
 /// Execution context for the serial threaded-dispatch loop: the dense
 /// slot-indexed value/toggle files plus the per-pass `changed` flag.
 pub(crate) struct ExecCtx<'a, const W: usize> {
-    /// Slot-indexed packed values.
+    /// Slot-indexed lane values.
     pub values: &'a mut [Lanes<W>],
     /// Slot-indexed toggle counters (summed over active lanes).
     pub toggles: &'a mut [u64],
@@ -155,8 +155,8 @@ pub(crate) struct ExecCtx<'a, const W: usize> {
 }
 
 /// Write `v` to `out`, counting toggles on known→known differing lanes
-/// — the exact packed-kernel `set_net` rule, gated on inequality like
-/// the packed settle loop (equal values imply zero toggles). A changed
+/// — the scalar simulator's `set_net` rule, gated on inequality like
+/// its settle loop (equal values imply zero toggles). A changed
 /// slot marks its readers pending; they all sit later in the stream.
 #[inline(always)]
 fn write<const W: usize>(ctx: &mut ExecCtx<'_, W>, out: u32, v: Lanes<W>) {

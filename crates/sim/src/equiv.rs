@@ -2,10 +2,9 @@
 //! methodology: "streaming inputs to the FF-based and latch-based designs
 //! and compare output streams").
 
-use crate::compile::{CompiledSim, Lanes};
+use crate::compile::{lane_seeds, CompiledSim, Lanes, LANES};
 use crate::error::{Error, Result};
 use crate::logic::Logic;
-use crate::packed::{lane_seeds, LANES};
 use crate::sim::Simulator;
 use triphase_netlist::{Netlist, PortId};
 
@@ -92,12 +91,11 @@ pub fn equiv_stream(
 /// Runs on the compiled bytecode backend: every cycle streams **64**
 /// independent random vectors (lane 0 drawn from `seed`'s historical
 /// stream, the others from [`lane_seeds`]) through both designs at once,
-/// so one call now covers 64× the stimulus of the old scalar pass for
-/// well under the scalar cost. The compiled kernel is a certified
-/// bit-exact twin of the packed one, so reports are unchanged from the
-/// packed era. `cycles` in the report stays the per-lane cycle count; a
-/// mismatch reports the earliest cycle, then the first port in name
-/// order, then the lowest diverging lane.
+/// so one call covers 64× the stimulus of a scalar pass for well under
+/// the scalar cost. Each lane is a certified bit-exact twin of the
+/// scalar run with that lane's seed. `cycles` in the report stays the
+/// per-lane cycle count; a mismatch reports the earliest cycle, then
+/// the first port in name order, then the lowest diverging lane.
 ///
 /// # Errors
 ///

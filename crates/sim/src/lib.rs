@@ -6,10 +6,15 @@
 //! methodology needs:
 //!
 //! - [`Simulator`]: per-cycle stepping with per-net toggle counting
-//!   ([`Activity`]), used for power estimation and DDCG statistics;
+//!   ([`Activity`]) — the reference semantics;
+//! - [`CompiledSim`] / [`CompiledAny`]: the fast simulator, a bytecode VM
+//!   over 64 to [`MAX_STREAMS`] stimulus lanes, bit-exact with
+//!   [`Simulator`] lane for lane; used for power estimation and DDCG
+//!   statistics;
 //! - [`equiv_stream`]: the paper's validation ("stream inputs into the FF
 //!   and latch designs, compare output streams");
-//! - [`run_random`]: pseudo-random workload driver.
+//! - [`run_random`] / [`run_random_compiled`]: seeded pseudo-random
+//!   workloads.
 //!
 //! # Examples
 //!
@@ -39,13 +44,12 @@ mod compile;
 mod equiv;
 mod error;
 mod logic;
-mod packed;
 mod sim;
 mod vcd;
 
 pub use compile::{
-    collect_activity_compiled, run_random_compiled, CompiledAny, CompiledSim, Lanes, LowerStats,
-    Mask, VmCounts, MAX_STREAMS,
+    collect_activity_compiled, lane_seeds, run_random_compiled, CompiledAny, CompiledSim, Lanes,
+    LowerStats, Mask, VmCounts, LANES, MAX_STREAMS,
 };
 pub use equiv::{
     data_inputs, data_outputs, equiv_stream, equiv_stream_warmup, replay_vectors, run_random,
@@ -53,8 +57,5 @@ pub use equiv::{
 };
 pub use error::{Error, Result};
 pub use logic::{eval_kind, Logic};
-pub use packed::{
-    collect_activity_packed, lane_seeds, run_random_packed, PackedLogic, PackedSim, LANES,
-};
 pub use sim::{Activity, Simulator};
 pub use vcd::VcdWriter;

@@ -50,7 +50,7 @@ impl Activity {
     /// # Errors
     ///
     /// [`Error::NoCycles`] if no cycles were simulated — reachable e.g.
-    /// when a packed activity collection is asked for zero cycles; a
+    /// when a multi-lane activity collection is asked for zero cycles; a
     /// silent `0.0` (or NaN) here would corrupt downstream power numbers.
     pub fn toggle_rate(&self, net: NetId) -> Result<f64> {
         if self.cycles == 0 {
@@ -483,8 +483,8 @@ impl<'a> Simulator<'a> {
 }
 
 /// Topological order of the clock network (buffers driving gates etc.).
-/// Shared with the packed kernel, whose compiled clock ops must follow
-/// the exact same dependency order.
+/// Shared with the compiled backend, whose clock ops must follow the
+/// exact same dependency order.
 pub(crate) fn clock_network_order(nl: &Netlist, idx: &ConnIndex) -> Result<Vec<CellId>> {
     let is_clock_cell = |k: CellKind| k.is_clock_gate() || k == CellKind::ClkBuf;
     let mut order = Vec::new();
@@ -575,8 +575,8 @@ mod tests {
                 "scalar accepted period {period}"
             );
             assert!(
-                matches!(crate::PackedSim::new(&nl, 1), Err(Error::BadClock(_))),
-                "packed accepted period {period}"
+                matches!(crate::CompiledAny::new(&nl, 1), Err(Error::BadClock(_))),
+                "compiled accepted period {period}"
             );
         }
     }
